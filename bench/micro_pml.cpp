@@ -129,7 +129,7 @@ BENCHMARK(BM_AggregatorThroughput)->Arg(16)->Arg(256)->Arg(4096)->Arg(65536);
 // trivial topology, so every collective crosses the group boundary for
 // each remote rank); Arg 1 runs the two-level path (intra-group combine
 // at the leader, leaders-only cross phase, broadcast down). Both variants
-// run in one benchmark session per the BM_OverlapAB discipline — same
+// run in one benchmark session (the interleaved A/B discipline) — same
 // process, same thermal/cache state — so the latency delta is the
 // collective discipline alone. The inter-group counter is rank 0's own
 // view (rank 0 always runs in the calling process): 6 boundary crossings

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
 
   plv::core::ParOptions opts;
   opts.nranks = ranks;
-  opts.resolution = cli.get_double("resolution", 1.0);
+  opts.refine.resolution = cli.get_double("resolution", 1.0);
   const plv::core::ParResult result = plv::louvain(plv::GraphSource::from_edges(edges, 0), opts);
 
   plv::TextTable table({"level", "vertices", "communities", "modularity",

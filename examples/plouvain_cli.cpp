@@ -68,7 +68,8 @@ int usage() {
       "Hybrid transport: --transport hybrid nests thread ranks inside\n"
       "forked processes (--ranks-per-proc N consecutive ranks per process,\n"
       "default 2) and runs the collectives hierarchically over the\n"
-      "two-tier topology.\n"
+      "two-tier topology; --transport proc is the same launcher at one\n"
+      "rank per process.\n"
       "The PLV_TRANSPORT environment variable overrides --transport,\n"
       "PLV_HOSTS/PLV_RANK override --hosts/--rank, PLV_RANKS_PER_PROC\n"
       "overrides --ranks-per-proc, and PLV_VALIDATE (or PLV_PARANOID)\n"
@@ -86,11 +87,11 @@ plv::core::ParOptions par_opts(const plv::Cli& cli) {
   plv::core::ParOptions opts;
   opts.nranks = static_cast<int>(cli.get_int("ranks", 4));
   // --heuristics switches the whole convergence-heuristic bundle on
-  // (active-vertex scheduling, min-label ties, vertex-following, threshold
-  // scaling — RefinePlan::heuristics()); the default keeps every heuristic
-  // off, i.e. the paper-faithful Eq. 7 refine loop.
+  // (active-vertex scheduling, vertex-following, threshold scaling —
+  // RefinePlan::heuristics()); the default keeps every heuristic off,
+  // i.e. the paper-faithful Eq. 7 refine loop.
   if (cli.get_bool("heuristics", false)) opts.refine = plv::core::RefinePlan::heuristics();
-  opts.resolution = cli.get_double("resolution", 1.0);
+  opts.refine.resolution = cli.get_double("resolution", 1.0);
   opts.transport = plv::pml::parse_transport_kind(cli.get_string("transport", "thread"));
   // --validate turns the pml protocol checker on even in optimized
   // builds; Debug builds default to on regardless (PLV_VALIDATE=0 turns

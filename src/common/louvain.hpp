@@ -11,6 +11,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/timer.hpp"
@@ -124,9 +125,15 @@ struct EdgeDelta {
 /// both in batch order — deterministic, so every rank of a fleet that
 /// applies the same batch holds byte-identical replicas). Returns the
 /// resulting vertex count: max(list's own count, delta.n_vertices).
-/// Throws std::invalid_argument when a removal names no existing record.
+/// All or nothing: when a removal names no existing record it throws
+/// std::invalid_argument and leaves `edges` byte-identical to the input.
 inline vid_t apply_edge_delta(graph::EdgeList& edges, const EdgeDelta& delta) {
   auto& recs = edges.edges();
+  // Undo log of the removals done so far, (position, record) in erase
+  // order. Only a missing removal replays it, so a valid batch pays one
+  // push per removal and no validation pass.
+  std::vector<std::pair<std::size_t, Edge>> erased;
+  erased.reserve(delta.removals.size());
   for (const Edge& r : delta.removals) {
     const auto hit = std::find_if(recs.begin(), recs.end(), [&](const Edge& e) {
       const bool same_pair =
@@ -134,11 +141,15 @@ inline vid_t apply_edge_delta(graph::EdgeList& edges, const EdgeDelta& delta) {
       return same_pair && e.w == r.w;
     });
     if (hit == recs.end()) {
+      for (auto it = erased.rbegin(); it != erased.rend(); ++it) {
+        recs.insert(recs.begin() + static_cast<std::ptrdiff_t>(it->first), it->second);
+      }
       throw std::invalid_argument(
           "apply_edge_delta: removal (" + std::to_string(r.u) + ", " +
           std::to_string(r.v) + ", w=" + std::to_string(r.w) +
           ") names no existing edge record");
     }
+    erased.emplace_back(static_cast<std::size_t>(hit - recs.begin()), *hit);
     recs.erase(hit);  // order-preserving compaction
   }
   for (const Edge& e : delta.inserts) edges.add(e.u, e.v, e.w);

@@ -42,8 +42,8 @@ struct PropMsg {
 inline constexpr vid_t kRetractBit = 0x80000000u;
 
 /// UPDATE: Σtot / member-count delta for community c, applied by owner(c).
-/// On the overlapped pipeline the same record doubles as the global move
-/// tally: each rank closes the streaming delta exchange by sending every
+/// The same record doubles as the global move tally: each rank closes the
+/// streaming delta exchange by sending every
 /// rank one record with c == kInvalidVid (never a real community id),
 /// dcount = its local move count and dtot = its local delta-record count
 /// (exact in a double far beyond any reachable table size). Receivers sum
@@ -312,8 +312,8 @@ class RankEngine {
     vid_t to;
   };
 
-  /// Global per-iteration tally, allreduced so every rank takes the same
-  /// full-vs-delta propagation decision.
+  /// Global per-iteration tally, summed over ranks so every rank takes the
+  /// same full-vs-delta propagation decision.
   struct MoveTally {
     std::uint64_t moves{0};
     std::uint64_t delta_records{0};  // records a delta propagation would ship
@@ -633,11 +633,15 @@ class RankEngine {
   /// used to skip it now accumulates it — compute_sigma_in's second full
   /// scan is gone.
   ///
-  /// With opts_.overlap the request/reply rides the streaming plane: the
-  /// Σtot requests are on the wire while this rank runs the stay-score
-  /// initialization (the Out_Table lookups, the σ-independent half), and
-  /// no collective rendezvous happens at all. Both modes execute the same
-  /// arithmetic in the same order; only the transport pattern differs.
+  /// The request/reply rides the streaming plane: the Σtot requests are on
+  /// the wire while this rank runs the stay-score initialization (the
+  /// Out_Table lookups, the σ-independent half), and no collective
+  /// rendezvous happens at all.
+  ///
+  /// Ties between equal-score candidates resolve to the smallest community
+  /// id under exact comparison (Lu & Halappanavar's minimum-label rule),
+  /// so the chosen target never depends on candidate enumeration order —
+  /// which is what lets the row walk and the fused scan below agree.
   void find_best_community() {
     apply_sigma_request_changes();
     const auto nranks = static_cast<std::size_t>(comm_.nranks());
@@ -656,97 +660,55 @@ class RankEngine {
     // small enough, walk only the active vertices' community rows; above
     // the threshold the fused full-table scan (inactive rows skipped) wins
     // on sequential locality. Both strategies compute identical labels —
-    // the exact comparator below makes the winner independent of candidate
+    // the exact tie rule makes the winner independent of candidate
     // enumeration order — so this is a per-rank-local performance choice.
     const bool row_scan =
         use_rows_ && restricted_ &&
         static_cast<double>(scanned_) <=
             opts_.refine.frontier_scan_threshold * static_cast<double>(local_n);
-    // Active scheduling implies exact minimum-label tie-breaking: the row
-    // walk and the fused scan enumerate candidates in different orders,
-    // and only an order-independent tie rule keeps them bit-equivalent.
-    const bool exact_ties =
-        opts_.refine.min_label_ties || opts_.refine.active_scheduling;
-
-    // σ-independent half of the stay score: w_stay = Out[(u, cu)] − self
-    // loop. The σ term is folded in after the replies arrive.
-    auto stay_init = [&] {
-      for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- best_/gain_ reset must cover every vertex; the frontier skip below prunes the table lookups
-        const vid_t cu = label_[l];
-        best_[l] = cu;
-        gain_[l] = 0.0;
-        // Frontier pruning: vertices outside the disturbed region cannot
-        // move this iteration (their gain stays 0 and update_communities
-        // never reads best_score_), so their stay score is never consumed
-        // — skip the table lookup.
-        if (restricted_ && active_[l] == 0) {
-          stay_score_[l] = 0.0;
-          continue;
-        }
-        const vid_t u = part_.to_global(comm_.rank(), l);
-        stay_score_[l] = out_table_.find(pack_key(u, cu)).value_or(0.0) - self_loop_[l];
-      }
-    };
-    auto build_reply = [&](const std::vector<vid_t>& reqs, std::vector<SigmaRep>& rep) {
-      rep.clear();
-      rep.reserve(reqs.size());
-      for (vid_t c : reqs) {
-        const CommInfo* info = comms_.find(c);
-        rep.push_back(info == nullptr ? SigmaRep{0, 0}
-                                      : SigmaRep{info->sigma_tot, info->members});
-      }
-    };
 
     std::size_t total_reqs = 0;
     for (const auto& reqs : sigma_reqs_) total_reqs += reqs.size();
 
-    if (opts_.overlap) {
-      if (req_in_.size() != nranks) req_in_.resize(nranks);
-      for (auto& reqs : req_in_) reqs.clear();
-      if (replies_.size() != nranks) replies_.resize(nranks);
-      // Requests stream to the owners while we run the stay-score loop.
-      comm_.exchange_streaming<vid_t>(
-          sigma_reqs_,
-          [&](int src, std::span<const vid_t> reqs) {
-            auto& dst = req_in_[static_cast<std::size_t>(src)];
-            dst.insert(dst.end(), reqs.begin(), reqs.end());
-          },
-          stay_init);
-      for (std::size_t r = 0; r < nranks; ++r) build_reply(req_in_[r], replies_[r]);
-      sigma_cache_.clear();
-      sigma_cache_.reserve(total_reqs + 1);
-      // Replies from owner r answer sigma_reqs_[r] in order; a per-source
-      // cursor keeps the pairing correct across chunk boundaries.
-      reply_cursor_.assign(nranks, 0);
-      comm_.exchange_streaming<SigmaRep>(replies_, [&](int src,
-                                                       std::span<const SigmaRep> vals) {
-        const auto& reqs = sigma_reqs_[static_cast<std::size_t>(src)];
-        auto& cur = reply_cursor_[static_cast<std::size_t>(src)];
-        for (const SigmaRep& v : vals) {
-          assert(cur < reqs.size());
-          sigma_cache_.ref(reqs[cur++]) = v;
-        }
-      });
-    } else {
-      const auto incoming = comm_.exchange_grouped(sigma_reqs_);
-      std::vector<std::vector<SigmaRep>> replies(nranks);
-      for (std::size_t r = 0; r < nranks; ++r) build_reply(incoming[r], replies[r]);
-      const auto answered = comm_.exchange_grouped(replies);
-      sigma_cache_.clear();
-      sigma_cache_.reserve(total_reqs + 1);
-      for (std::size_t r = 0; r < nranks; ++r) {
-        const auto& reqs = sigma_reqs_[r];
-        const auto& vals = answered[r];
-        assert(reqs.size() == vals.size());
-        for (std::size_t i = 0; i < reqs.size(); ++i) sigma_cache_.ref(reqs[i]) = vals[i];
+    if (req_in_.size() != nranks) req_in_.resize(nranks);
+    for (auto& reqs : req_in_) reqs.clear();
+    if (replies_.size() != nranks) replies_.resize(nranks);
+    // Requests stream to the owners while we run the stay-score loop.
+    comm_.exchange_streaming<vid_t>(
+        sigma_reqs_,
+        [&](int src, std::span<const vid_t> reqs) {
+          auto& dst = req_in_[static_cast<std::size_t>(src)];
+          dst.insert(dst.end(), reqs.begin(), reqs.end());
+        },
+        [this] { init_stay_scores(); });
+    for (std::size_t r = 0; r < nranks; ++r) {
+      auto& rep = replies_[r];
+      rep.clear();
+      rep.reserve(req_in_[r].size());
+      for (vid_t c : req_in_[r]) {
+        const CommInfo* info = comms_.find(c);
+        rep.push_back(info == nullptr ? SigmaRep{0, 0}
+                                      : SigmaRep{info->sigma_tot, info->members});
       }
-      stay_init();
     }
+    sigma_cache_.clear();
+    sigma_cache_.reserve(total_reqs + 1);
+    // Replies from owner r answer sigma_reqs_[r] in order; a per-source
+    // cursor keeps the pairing correct across chunk boundaries.
+    reply_cursor_.assign(nranks, 0);
+    comm_.exchange_streaming<SigmaRep>(replies_, [&](int src,
+                                                     std::span<const SigmaRep> vals) {
+      const auto& reqs = sigma_reqs_[static_cast<std::size_t>(src)];
+      auto& cur = reply_cursor_[static_cast<std::size_t>(src)];
+      for (const SigmaRep& v : vals) {
+        assert(cur < reqs.size());
+        sigma_cache_.ref(reqs[cur++]) = v;
+      }
+    });
 
-    // Fold the σ term into the stay score (identical arithmetic on both
-    // paths: (w_stay) − γ(σ − k)k/2m, left-associated as before). γ is
-    // hoisted once for the two hot loops below.
-    const double gamma = opts_.resolution;
+    // Fold the σ term into the stay score: (w_stay) − γ(σ − k)k/2m,
+    // left-associated. γ is hoisted once for the two hot loops below.
+    const double gamma = opts_.refine.resolution;
     for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- O(1)/vertex σ fold; the skip below prunes the lookups
       if (restricted_ && active_[l] == 0) continue;  // stay score unused
       const SigmaRep* own = sigma_cache_.find(label_[l]);
@@ -778,7 +740,6 @@ class RankEngine {
           }
           const double score =
               row.w - gamma * target->sigma_tot * strength_[l] / two_m_;
-          // Row mode implies the exact comparator (exact_ties above).
           if (score > best_score_[l] || (score == best_score_[l] && c < best_[l])) {
             best_score_[l] = score;
             best_[l] = c;
@@ -808,7 +769,7 @@ class RankEngine {
       // Frontier pruning (Sahu's unchanged-vertex idea): an undisturbed
       // vertex may not move this iteration, so its join search — the σ
       // lookup and score compare, the scan's dominant cost — is skipped.
-      // best_[l] stays at label_[l] from stay_init, so its gain is 0.
+      // best_[l] stays at label_[l] from init_stay_scores, so its gain is 0.
       if (restricted_ && active_[l] == 0) return;
       const SigmaRep* target = sigma_cache_.find(c);
       assert(target != nullptr);
@@ -820,17 +781,9 @@ class RankEngine {
       if (target->members == 1 && sigma_cache_.find(cu)->members == 1 && c > cu) return;
       const double score =
           w - gamma * target->sigma_tot * strength_[l] / two_m_;
-      // Tie handling: the default comparator prefers the smaller community
-      // id only inside a 1e-15 score band (kept bit-for-bit for the
-      // default configuration); with min-label tie-breaking the rule is
-      // exact, so the chosen target cannot depend on enumeration order
-      // (Lu & Halappanavar's determinism argument).
-      const bool better =
-          exact_ties ? (score > best_score_[l] ||
-                        (score == best_score_[l] && c < best_[l]))
-                     : (score > best_score_[l] + 1e-15 ||
-                        (score > best_score_[l] - 1e-15 && c < best_[l]));
-      if (better) {
+      // Most candidates lose: [[unlikely]] keeps the losing path a
+      // fall-through (about 5% of a whole LFR n=20000 solve, x86-64 GCC).
+      if (score > best_score_[l] || (score == best_score_[l] && c < best_[l])) [[unlikely]] {
         best_score_[l] = score;
         best_[l] = c;
       }
@@ -844,6 +797,31 @@ class RankEngine {
     }
   }
 
+  /// σ-independent half of the stay score: w_stay = Out[(u, cu)] − self
+  /// loop, computed while the Σtot requests are on the wire. The σ term is
+  /// folded in after the replies arrive. Kept out of line on purpose:
+  /// inlined into its one caller, the exchange_streaming instantiation,
+  /// the loop made a whole LFR n=20000 solve about 4% slower (x86-64, GCC,
+  /// Release).
+  [[gnu::noinline]] void init_stay_scores() {
+    const vid_t local_n = static_cast<vid_t>(label_.size());
+    for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- best_/gain_ reset must cover every vertex; the frontier skip below prunes the table lookups
+      const vid_t cu = label_[l];
+      best_[l] = cu;
+      gain_[l] = 0.0;
+      // Frontier pruning: vertices outside the disturbed region cannot
+      // move this iteration (their gain stays 0 and update_communities
+      // never reads best_score_), so their stay score is never consumed
+      // — skip the table lookup.
+      if (restricted_ && active_[l] == 0) {
+        stay_score_[l] = 0.0;
+        continue;
+      }
+      const vid_t u = part_.to_global(comm_.rank(), l);
+      stay_score_[l] = out_table_.find(pack_key(u, cu)).value_or(0.0) - self_loop_[l];
+    }
+  }
+
   // -- threshold selection (Section IV-B) -----------------------------------
 
   /// Translates ε(iter) into the global gain cutoff ΔQ̂ via an allreduced
@@ -853,7 +831,8 @@ class RankEngine {
   /// walking the full gain vector a second time; the histogram and the
   /// reduction scratch are persistent too — no steady-state allocation.
   [[nodiscard]] double gain_cutoff(int iter, double& eps_out) {
-    const double eps = epsilon_of(opts_.threshold, opts_.p1, opts_.p2, iter);
+    const RefinePlan& plan = opts_.refine;
+    const double eps = epsilon_of(plan.threshold, plan.p1, plan.p2, iter);
     eps_out = eps;
     double local_max = 0.0;
     pos_gains_.clear();
@@ -874,7 +853,7 @@ class RankEngine {
     if (agg.count == 0 || agg.max <= 0.0) return -1.0;  // signals "no mover"
     if (eps >= 1.0) return 0.0;                         // all positive gains move
 
-    hist_.reset(0.0, agg.max, opts_.gain_histogram_bins);
+    hist_.reset(0.0, agg.max, plan.gain_histogram_bins);
     for (double g : pos_gains_) hist_.add(g);
     comm_.allreduce_vec_sum(hist_.counts(), hist_scratch_);
 
@@ -889,7 +868,11 @@ class RankEngine {
 
   /// Moves every owned vertex whose gain clears the cutoff; ships Σtot and
   /// member-count deltas to the community owners; records the move list
-  /// the delta propagation would replay. Returns the global tally.
+  /// the delta propagation would replay. Returns the global tally, which
+  /// piggybacks on the delta exchange itself: every rank appends one
+  /// sentinel (c == kInvalidVid) per peer with its local counts, and the
+  /// ordered drain sums them — no separate allreduce round. Both counts
+  /// are integers, exact in a double far beyond any reachable size.
   ///
   /// Each move also carries the local Σin pre-aggregation forward: row
   /// (u, from) stops counting toward Σin(from) and row (u, to) starts
@@ -925,41 +908,25 @@ class RankEngine {
             2 * (adj_start_[static_cast<std::size_t>(l) + 1] - adj_start_[l]);
       }
     }
-    if (opts_.overlap) {
-      // The global move tally piggybacks on the delta exchange itself:
-      // every rank appends one sentinel (c == kInvalidVid) per peer with
-      // its local counts, and the ordered drain sums them — no separate
-      // MoveTally allreduce round. Both counts are integers, exact in a
-      // double far beyond any reachable size.
-      for (auto& dest : deltas) {
-        dest.push_back(DeltaMsg{kInvalidVid, static_cast<std::int32_t>(local.moves),
-                                static_cast<weight_t>(local.delta_records)});
-      }
-      MoveTally global;
-      comm_.exchange_streaming<DeltaMsg>(
-          deltas, [&](int /*src*/, std::span<const DeltaMsg> msgs) {
-            for (const DeltaMsg& d : msgs) {
-              if (d.c == kInvalidVid) {
-                global.moves += static_cast<std::uint64_t>(d.dcount);
-                global.delta_records += static_cast<std::uint64_t>(d.dtot);
-                continue;
-              }
-              CommInfo& info = comms_.ref(d.c);
-              info.sigma_tot += d.dtot;
-              info.members += d.dcount;
+    for (auto& dest : deltas) {
+      dest.push_back(DeltaMsg{kInvalidVid, static_cast<std::int32_t>(local.moves),
+                              static_cast<weight_t>(local.delta_records)});
+    }
+    MoveTally global;
+    comm_.exchange_streaming<DeltaMsg>(
+        deltas, [&](int /*src*/, std::span<const DeltaMsg> msgs) {
+          for (const DeltaMsg& d : msgs) {
+            if (d.c == kInvalidVid) {
+              global.moves += static_cast<std::uint64_t>(d.dcount);
+              global.delta_records += static_cast<std::uint64_t>(d.dtot);
+              continue;
             }
-          });
-      return global;
-    }
-    const auto incoming = comm_.exchange(deltas);
-    for (const DeltaMsg& d : incoming) {
-      CommInfo& info = comms_.ref(d.c);
-      info.sigma_tot += d.dtot;
-      info.members += d.dcount;
-    }
-    return comm_.allreduce(local, [](const MoveTally& a, const MoveTally& b) {
-      return MoveTally{a.moves + b.moves, a.delta_records + b.delta_records};
-    });
+            CommInfo& info = comms_.ref(d.c);
+            info.sigma_tot += d.dtot;
+            info.members += d.dcount;
+          }
+        });
+    return global;
   }
 
   // -- Σin + modularity (Algorithm 4 lines 18-25) ----------------------------
@@ -976,15 +943,10 @@ class RankEngine {
     sin_acc_.for_each([&](vid_t c, weight_t& w) {
       sin_out_[static_cast<std::size_t>(part_.owner(c))].push_back(SinMsg{c, 0, w});
     });
-    if (opts_.overlap) {
-      comm_.exchange_streaming<SinMsg>(
-          sin_out_, [&](int /*src*/, std::span<const SinMsg> msgs) {
-            for (const SinMsg& m : msgs) comms_.ref(m.c).sigma_in += m.w;
-          });
-    } else {
-      const auto incoming = comm_.exchange(sin_out_);
-      for (const SinMsg& m : incoming) comms_.ref(m.c).sigma_in += m.w;
-    }
+    comm_.exchange_streaming<SinMsg>(
+        sin_out_, [&](int /*src*/, std::span<const SinMsg> msgs) {
+          for (const SinMsg& m : msgs) comms_.ref(m.c).sigma_in += m.w;
+        });
   }
 
   /// This rank's modularity contribution (sum over owned communities);
@@ -995,7 +957,7 @@ class RankEngine {
     comms_.for_each([&](vid_t, const CommInfo& info) {
       if (info.members <= 0) return;
       const double tot = info.sigma_tot / two_m_;
-      q_local += info.sigma_in / two_m_ - opts_.resolution * tot * tot;
+      q_local += info.sigma_in / two_m_ - opts_.refine.resolution * tot * tot;
     });
     return q_local;
   }
@@ -1032,7 +994,7 @@ class RankEngine {
     // path needs community ids below 2^31 — always true for vid_t levels
     // in practice, but guard anyway so correctness never hinges on it.
     const bool delta_possible = n_level_ < kRetractBit;
-    for (int iter = 1; iter <= opts_.max_inner_iterations; ++iter) {
+    for (int iter = 1; iter <= opts_.refine.max_inner_iterations; ++iter) {
       WallTimer t;
       find_best_community();
       const std::uint64_t scanned_local = scanned_;
@@ -1072,12 +1034,13 @@ class RankEngine {
       // globally consistent. Active scheduling deliberately keeps cadence
       // rebuilds live: a rebuild reactivates the whole partition, which is
       // what bounds both the FP drift and the pruning approximation.
+      const RefinePlan& plan = opts_.refine;
       const bool rebuild_due =
           !pinned_ &&
-          ((opts_.full_rebuild_every > 0 &&
-            iters_since_rebuild_ + 1 >= opts_.full_rebuild_every) ||
-           (opts_.adaptive_rebuild_drift > kAdaptiveRebuildOff &&
-            drift_accum_ + churn >= opts_.adaptive_rebuild_drift));
+          ((plan.full_rebuild_every > 0 &&
+            iters_since_rebuild_ + 1 >= plan.full_rebuild_every) ||
+           (plan.adaptive_rebuild_drift > kAdaptiveRebuildOff &&
+            drift_accum_ + churn >= plan.adaptive_rebuild_drift));
       const bool delta_wins =
           delta_possible &&
           (pinned_ || moved.delta_records < full_prop_records_);
@@ -1094,49 +1057,21 @@ class RankEngine {
       timers_.add(phase::kStatePropagation, prop_s);
 
       exchange_sigma_in();
-      double q;
-      std::uint64_t prop_sent_global;
-      std::uint64_t scanned_global;
-      if (opts_.overlap) {
-        // One combined reduction closes the iteration: modularity and the
-        // trace's propagation + scan volumes share a single collective
-        // round. The q sum visits ranks in ascending order, exactly like
-        // allreduce_sum, so the value is bitwise the phased one.
-        struct IterStats {
-          double q;
-          std::uint64_t prop_sent;
-          std::uint64_t scanned;
-        };
-        const auto stats = comm_.allreduce(
-            IterStats{local_modularity(), prop_sent, scanned_local},
-            [](const IterStats& a, const IterStats& b) {
-              return IterStats{a.q + b.q, a.prop_sent + b.prop_sent,
-                               a.scanned + b.scanned};
-            });
-        q = stats.q;
-        prop_sent_global = stats.prop_sent;
-        scanned_global = stats.scanned;
-      } else {
-        q = comm_.allreduce_sum(local_modularity());
-        if (opts_.record_trace) {
-          // Integer-sum reduction of the trace volumes — still one
-          // collective round, matching the overlap path's sums exactly.
-          struct TraceStats {
-            std::uint64_t prop_sent;
-            std::uint64_t scanned;
-          };
-          const auto stats = comm_.allreduce(
-              TraceStats{prop_sent, scanned_local},
-              [](const TraceStats& a, const TraceStats& b) {
-                return TraceStats{a.prop_sent + b.prop_sent, a.scanned + b.scanned};
-              });
-          prop_sent_global = stats.prop_sent;
-          scanned_global = stats.scanned;
-        } else {
-          prop_sent_global = 0;
-          scanned_global = 0;
-        }
-      }
+      // One combined reduction closes the iteration: modularity and the
+      // trace's propagation + scan volumes share a single collective
+      // round. The q sum visits ranks in ascending order, exactly like
+      // allreduce_sum.
+      struct IterStats {
+        double q;
+        std::uint64_t prop_sent;
+        std::uint64_t scanned;
+      };
+      const auto stats = comm_.allreduce(
+          IterStats{local_modularity(), prop_sent, scanned_local},
+          [](const IterStats& a, const IterStats& b) {
+            return IterStats{a.q + b.q, a.prop_sent + b.prop_sent, a.scanned + b.scanned};
+          });
+      const double q = stats.q;
 
       if (opts_.record_trace) {
         level.trace.moved_fraction.push_back(static_cast<double>(moved.moves) /
@@ -1147,8 +1082,8 @@ class RankEngine {
         level.trace.find_seconds.push_back(find_s);
         level.trace.update_seconds.push_back(update_s);
         level.trace.prop_seconds.push_back(prop_s);
-        level.trace.prop_records.push_back(prop_sent_global);
-        level.trace.scanned_vertices.push_back(scanned_global);
+        level.trace.prop_records.push_back(stats.prop_sent);
+        level.trace.scanned_vertices.push_back(stats.scanned);
       }
 
       // One stagnant iteration can just mean a low-ε round; require a
@@ -1157,7 +1092,7 @@ class RankEngine {
       // level's scaled tolerance instead of the final one.
       stagnant = q - prev_q < level_tol ? stagnant + 1 : 0;
       prev_q = q;  // report the Q of the labels we actually hold
-      if (moved.moves == 0 || stagnant >= opts_.stagnation_window) break;
+      if (moved.moves == 0 || stagnant >= opts_.refine.stagnation_window) break;
     }
     return prev_q;
   }
@@ -1212,8 +1147,8 @@ class RankEngine {
     agg.flush_all_final();
     // Ordered streaming drain: chunks are consumed as they arrive but
     // applied in ascending source-rank order, so the next level's In_Table
-    // layout is arrival-timing independent (and identical across overlap
-    // modes and transports).
+    // layout is arrival-timing independent (and identical across
+    // transports).
     comm_.drain_streaming_finalized<EdgeMsg>([&](int /*src*/,
                                                  std::span<const EdgeMsg> msgs) {
       for (const EdgeMsg& m : msgs) {
@@ -1438,7 +1373,7 @@ ParResult run_levels(pml::Comm& comm, RankEngine& engine, vid_t n, const ParOpti
   };
 
   double prev_q = -2.0;  // below any attainable modularity
-  for (int level_idx = 0; level_idx < opts.max_levels; ++level_idx) {
+  for (int level_idx = 0; level_idx < opts.refine.max_levels; ++level_idx) {
     bool compressed = false;
     const TrafficStats level_start = comm.stats();
     LouvainLevel level = engine.run_level(compressed);
@@ -1447,7 +1382,7 @@ ParResult run_levels(pml::Comm& comm, RankEngine& engine, vid_t n, const ParOpti
     // level's delta — one rank-identical collective of skew.)
     level.traffic = sum_traffic(traffic_delta(comm.stats(), level_start));
 
-    const bool improved = level.modularity - prev_q >= opts.q_tolerance;
+    const bool improved = level.modularity - prev_q >= opts.refine.q_tolerance;
     if (!improved && level_idx > 0) break;
 
     for (vid_t v = 0; v < n; ++v) {
@@ -1497,10 +1432,7 @@ ParResult louvain_rank(pml::Comm& comm, const graph::EdgeList& edges, vid_t n_ve
 }
 
 // ---------------------------------------------------------------------------
-// One-shot launch bodies. These are the non-deprecated internals: both the
-// plv::louvain front door and the [[deprecated]] core::louvain_parallel*
-// wrappers forward here, so the library itself never calls a deprecated
-// symbol (the CI builds with -Werror).
+// One-shot launch bodies behind the plv::louvain front door.
 // ---------------------------------------------------------------------------
 
 static ParResult parallel_impl(const graph::EdgeList& edges, vid_t n_vertices,
@@ -1632,24 +1564,6 @@ static ParResult streamed_impl(const EdgeSliceFn& slice_of, vid_t n_vertices,
   return std::move(result.value);
 }
 
-#if defined(PLV_COMPAT)
-ParResult louvain_parallel(const graph::EdgeList& edges, vid_t n_vertices,
-                           const ParOptions& opts) {
-  return parallel_impl(edges, n_vertices, opts);
-}
-
-ParResult louvain_parallel_warm(const graph::EdgeList& edges, vid_t n_vertices,
-                                const std::vector<vid_t>& initial_labels,
-                                const ParOptions& opts) {
-  return warm_impl(edges, n_vertices, initial_labels, opts);
-}
-
-ParResult louvain_parallel_streamed(const EdgeSliceFn& slice_of, vid_t n_vertices,
-                                    const ParOptions& opts) {
-  return streamed_impl(slice_of, n_vertices, opts);
-}
-#endif  // PLV_COMPAT
-
 // ---------------------------------------------------------------------------
 // The resident fleet body behind plv::Session (core/session.hpp). Every
 // rank holds a patchable replica of the evolving edge list plus its slice
@@ -1780,11 +1694,24 @@ void session_rank_body(pml::Comm& comm, SessionShared& shared) {
     for (const Edge& e : ins) delta.inserts.add(e.u, e.v, e.w);
     for (const Edge& e : del) delta.removals.add(e.u, e.v, e.w);
 
-    // Throws when a removal names no existing record — fleet-fatal, and
-    // identical on every rank (same replica, same batch), so the whole
-    // fleet fails the same way and Session::apply rethrows it.
+    // A removal that names no record rejects the whole batch and leaves
+    // the replica untouched. Every rank holds the same replica and batch,
+    // so every rank rejects it the same way and skips it with no extra
+    // collective; rank 0 hands the reason to Session::apply.
     const std::size_t edges_before = edges.size();
-    const vid_t new_n = std::max(n, apply_edge_delta(edges, delta));
+    vid_t new_n = n;
+    try {
+      new_n = std::max(n, apply_edge_delta(edges, delta));
+    } catch (const std::invalid_argument& e) {
+      if (me == 0) {
+        {
+          plv::MutexLock lock(shared.mu);
+          shared.rejection = e.what();
+        }
+        shared.cv.notify_all();
+      }
+      continue;
+    }
     ++batches_since_cold;
 
     const bool cadence_due = opts.streaming.rebuild_every_batches > 0 &&

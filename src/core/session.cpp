@@ -85,8 +85,14 @@ std::shared_ptr<const LabelSnapshot> Session::wait_for_epoch(std::uint64_t seq) 
   plv::MutexLock lock(shared_->mu);
   // snap != nullptr distinguishes "epoch 0 published" from the freshly
   // constructed state (completed starts at 0 before any run finishes).
-  while (!shared_->dead && (shared_->snap == nullptr || shared_->completed < seq)) {
+  while (!shared_->dead && !shared_->rejection &&
+         (shared_->snap == nullptr || shared_->completed < seq)) {
     shared_->cv.wait(shared_->mu);
+  }
+  if (shared_->rejection) {
+    const std::string why = std::move(*shared_->rejection);
+    shared_->rejection.reset();
+    throw std::invalid_argument("Session: batch rejected: " + why);
   }
   if (shared_->snap == nullptr || shared_->completed < seq) {
     // Don't leave pending waiters racing a half-torn-down fleet.
@@ -110,8 +116,9 @@ std::shared_ptr<const LabelSnapshot> Session::apply(const EdgeDelta& batch) {
     shared_->has_command = true;
   }
   shared_->cv.notify_all();
+  auto snap = wait_for_epoch(seq);
   submitted_ = seq;
-  return wait_for_epoch(seq);
+  return snap;
 }
 
 std::shared_ptr<const LabelSnapshot> Session::snapshot() const {

@@ -8,7 +8,10 @@
 // in place and re-refines only the disturbed region (StreamingPlan
 // controls the frontier and the cold-rebuild cadence); snapshot() hands
 // out immutable epoch-stamped partitions that readers keep for as long
-// as they like, without ever blocking an in-flight apply.
+// as they like, without ever blocking an in-flight apply. A batch that
+// removes an edge the graph does not hold is rejected whole: apply()
+// throws std::invalid_argument, the fleet stays up, and the next valid
+// batch publishes the next epoch with no gap.
 //
 // How the fleet stays warm: every pml transport runs rank 0 inside the
 // calling process (threads trivially; proc/tcp/hybrid fork only ranks
@@ -26,6 +29,8 @@
 #include <cstdint>
 #include <exception>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -72,6 +77,9 @@ struct SessionShared {
   bool has_command PLV_GUARDED_BY(mu){false};
   SessionCommand command PLV_GUARDED_BY(mu);
   std::uint64_t completed PLV_GUARDED_BY(mu){0};  // epoch of the latest published snapshot
+  // Why the fleet rejected the in-flight batch (set instead of publishing
+  // an epoch; Session::apply consumes it).
+  std::optional<std::string> rejection PLV_GUARDED_BY(mu);
   bool dead PLV_GUARDED_BY(mu){false};
   std::exception_ptr error PLV_GUARDED_BY(mu);
 
@@ -112,9 +120,12 @@ class Session {
   Session& operator=(const Session&) = delete;
 
   /// Applies one batch of edge updates and blocks until the new epoch is
-  /// published, returning its snapshot. Throws if the batch is invalid
-  /// (e.g. a removal naming no existing edge) or the fleet has died —
-  /// after a throw the Session is dead and only close() remains useful.
+  /// published, returning its snapshot. A batch with a removal that names
+  /// no existing edge record is rejected whole: apply throws
+  /// std::invalid_argument, the graph and the served snapshot stay as
+  /// they were, and the next valid batch publishes the previous epoch + 1.
+  /// Any other failure kills the fleet: apply rethrows it, and after that
+  /// only close() remains useful.
   std::shared_ptr<const LabelSnapshot> apply(const EdgeDelta& batch);
 
   /// Latest published snapshot (never null after construction). Readers
@@ -140,7 +151,7 @@ class Session {
   std::unique_ptr<core::detail::SessionShared> shared_;
   std::thread fleet_;
   plv::Mutex apply_mu_;  // serializes apply()/close() callers
-  // last command seq handed to the fleet
+  // seq of the last batch the fleet accepted (a rejected batch reuses its seq)
   std::uint64_t submitted_ PLV_GUARDED_BY(apply_mu_){0};
   bool closed_ PLV_GUARDED_BY(apply_mu_){false};
 };

@@ -83,7 +83,6 @@
 #include "pml/transport.hpp"
 #include "pml/transport_check.hpp"
 #include "pml/transport_hybrid.hpp"
-#include "pml/transport_proc.hpp"
 #include "pml/transport_tcp.hpp"
 #include "pml/transport_thread.hpp"
 
@@ -271,37 +270,6 @@ class Comm {
     run_collective(sink);
     stats_.records_received += sink.out.size();
     return std::move(sink.out);
-  }
-
-  /// Like exchange(), but keeps arrivals grouped by source rank:
-  /// result[s] is exactly what rank s addressed to this rank. Needed by
-  /// request/reply protocols (e.g. the Σtot fetch) where the reply must
-  /// be routed back to, and matched up with, the requester.
-  template <typename T>
-  [[nodiscard]] std::vector<std::vector<T>> exchange_grouped(
-      const std::vector<std::vector<T>>& outgoing) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    assert(static_cast<int>(outgoing.size()) == nranks());
-    ++stats_.collectives;
-    spans_.clear();
-    for (const auto& dest : outgoing) {
-      stats_.records_sent += dest.size();
-      stats_.bytes_sent += dest.size() * sizeof(T);
-      spans_.push_back(vector_bytes(dest));
-    }
-    struct Sink final : CollectiveSink {
-      void deliver(int source, std::span<const std::byte> bytes) override {
-        if (bytes.empty()) return;  // empty lane: data() may be null (UB in memcpy)
-        auto& dst = incoming[static_cast<std::size_t>(source)];
-        dst.resize(bytes.size() / sizeof(T));
-        std::memcpy(dst.data(), bytes.data(), bytes.size());
-      }
-      std::vector<std::vector<T>> incoming;
-    } sink;
-    sink.incoming.resize(static_cast<std::size_t>(nranks()));
-    run_collective(sink);
-    for (const auto& src : sink.incoming) stats_.records_received += src.size();
-    return std::move(sink.incoming);
   }
 
   /// Streaming all-to-all over the fine-grained plane: `outgoing[d]` goes
@@ -1244,15 +1212,18 @@ class Runtime {
   /// a clean body return; a ProtocolError fails the run like any rank
   /// exception. `tcp` is consulted only by the kTcp backend (defaults
   /// select its loopback self-test fleet; PLV_HOSTS/PLV_RANK still apply
-  /// inside run_tcp_ranks); `hybrid` only by the kHybrid backend
-  /// (PLV_RANKS_PER_PROC / PLV_FLAT_COLLECTIVES still apply inside
-  /// run_hybrid_ranks).
+  /// inside run_tcp_ranks); `hybrid` only by the kHybrid backend, with
+  /// PLV_RANKS_PER_PROC / PLV_FLAT_COLLECTIVES applied on top.
+  ///
+  /// kProc is the hybrid launcher at one rank per process: singleton
+  /// groups publish the flat topology. Its shape is fixed — the hybrid
+  /// environment knobs never reshape a proc run.
   static void run(int nranks, const std::function<void(Comm&)>& body,
                   TransportKind kind, bool validate, const TcpOptions& tcp = {},
                   const HybridOptions& hybrid = {}) {
     if (nranks <= 0) throw std::invalid_argument("Runtime: nranks must be positive");
     if (kind == TransportKind::kProc) {
-      detail::run_proc_ranks(nranks, body, validate);
+      detail::run_hybrid_ranks(nranks, body, validate, HybridOptions{1, false}, "proc");
       return;
     }
     if (kind == TransportKind::kTcp) {
@@ -1260,7 +1231,8 @@ class Runtime {
       return;
     }
     if (kind == TransportKind::kHybrid) {
-      detail::run_hybrid_ranks(nranks, body, validate, hybrid);
+      detail::run_hybrid_ranks(nranks, body, validate, resolve_hybrid_options(hybrid),
+                               "hybrid");
       return;
     }
     run_threads(nranks, body, validate);

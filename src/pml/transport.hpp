@@ -9,7 +9,8 @@
 //     Collectives publish span pointers through shared slots (zero
 //     serialization), fine-grained sends hand pooled chunk pointers to the
 //     destination's mailbox (zero copy).
-//   ProcessTransport (transport_proc.cpp) — rank = forked process.
+//   HybridTransport (transport_hybrid.cpp) — rank = thread of a forked
+//     process; the proc backend runs it at one rank per process.
 //     Everything crosses Unix-domain stream sockets as length-prefixed
 //     frames; collectives are serialized and recombined in rank order so
 //     results stay bit-identical with the thread backend.
@@ -256,7 +257,7 @@ class Transport {
 /// variable (resolve_transport).
 enum class TransportKind {
   kThread,  ///< thread-per-rank, shared memory (default)
-  kProc,    ///< process-per-rank over Unix-domain sockets
+  kProc,    ///< process-per-rank over Unix-domain sockets (hybrid, 1 rank/proc)
   kTcp,     ///< process-per-rank over a TCP mesh (multi-host capable)
   kHybrid,  ///< thread groups nested inside forked socket processes
 };

@@ -1,6 +1,6 @@
 // HybridTransport: thread-rank groups nested inside forked socket
 // processes — the composed two-tier substrate of the hierarchical
-// collectives.
+// collectives, and (at one rank per process) the proc backend.
 //
 // Shape: the fleet is cut into consecutive blocks of `ranks_per_proc`
 // ranks. Each block is one OS process (group 0 is the calling process,
@@ -16,7 +16,8 @@
 //                      per-process slots and meet at a pump-aware group
 //                      barrier (parked ranks keep draining their socket
 //                      lanes so remote writers never stall against a
-//                      member waiting on its siblings).
+//                      member waiting on its siblings), read every slot,
+//                      and meet again before anyone may free its spans.
 //   leader_alltoallv — leader-to-leader collective frames over the
 //                      socket tier (send_collective/take_collective);
 //                      non-leaders never touch the inter-group plane.
@@ -24,7 +25,9 @@
 // topology() publishes the block structure, which is what switches Comm
 // onto the two-level collectives; with HybridOptions::flat_collectives
 // the same substrate reports the trivial topology instead, giving the
-// A/B baseline the hierarchical path is measured against.
+// A/B baseline the hierarchical path is measured against. One rank per
+// process makes every group a singleton, which is the trivial topology
+// too: that shape is the proc backend.
 #include "pml/transport_hybrid.hpp"
 
 #include <stdio_ext.h>
@@ -87,39 +90,44 @@ namespace {
 
 /// Per-process state shared by the rank threads of one group: the
 /// intra-group collective plane. `slots[j]` is member j's published
-/// outgoing-span array during a group_alltoallv; the barrier is the
-/// classic generation-counting rendezvous, with the twist that waiters
-/// pump their own socket lanes (see HybridTransport::group_sync).
+/// outgoing-span array during a group_alltoallv; `state` is the
+/// generation-counting rendezvous, packed into one word (generation in
+/// the high 32 bits, arrivals in the low 32) so a waiter can take its
+/// arrival back with one compare-exchange that fails once the rendezvous
+/// has completed (see HybridTransport::group_sync).
 ///
 /// Synchronization map (no PLV_GUARDED_BY here on purpose): a member
 /// writes only its own `slots` entry before the rendezvous and peers read
-/// it only after — the generation bump (release store, acquire loads in
-/// the waiters' spin) is the ordering edge, not a lock the analysis could
-/// name. `count`/`generation` implement that rendezvous with explicit
-/// orders; `aborted` is the group-local kill flag.
+/// it only after — the read-modify-write chain on `state` plus the
+/// generation bump (release store, acquire loads in the waiters' spin)
+/// is the ordering edge, not a lock the analysis could name. `aborted`
+/// is the group-local kill flag.
 struct HybridShared {
   explicit HybridShared(int group_size)
       : slots(static_cast<std::size_t>(group_size), nullptr), size(group_size) {}
 
   std::vector<const std::span<const std::byte>*> slots;
-  std::atomic<int> count{0};
-  std::atomic<std::uint64_t> generation{0};
+  std::atomic<std::uint64_t> state{0};
   int size;
   std::atomic<bool> aborted{false};
 };
 
+/// Low half of HybridShared::state: the arrival count.
+constexpr std::uint64_t kArrivals = 0xffffffffULL;
+
 class HybridTransport final : public Transport {
  public:
-  /// `fds` is this rank's row of the global socketpair mesh (self -1;
-  /// sibling lanes are real socketpairs too). `topo` is the published
-  /// topology — Topology::blocks normally, Topology::flat under the
-  /// flat_collectives A/B baseline. `group_base`/`slot` locate the rank
-  /// inside its hosting process independently of what topo reports, so
-  /// the shared-memory plane stays wired even when the topology is
-  /// flattened (Comm then simply never uses it).
-  HybridTransport(int rank, int nranks, std::vector<int> fds, HybridShared* shared,
-                  Topology topo, int group_base)
-      : socket_("hybrid", rank, nranks, std::move(fds)),
+  /// `name` is the backend name the rank reports. `fds` is this rank's
+  /// row of the global socketpair mesh (self -1; sibling lanes are real
+  /// socketpairs too). `topo` is the published topology — Topology::blocks
+  /// normally, Topology::flat under the flat_collectives A/B baseline.
+  /// `group_base`/`slot` locate the rank inside its hosting process
+  /// independently of what topo reports, so the shared-memory plane stays
+  /// wired even when the topology is flattened (Comm then simply never
+  /// uses it).
+  HybridTransport(const char* name, int rank, int nranks, std::vector<int> fds,
+                  HybridShared* shared, Topology topo, int group_base)
+      : socket_(name, rank, nranks, std::move(fds)),
         shared_(shared),
         topo_(std::move(topo)),
         group_base_(group_base),
@@ -155,18 +163,27 @@ class HybridTransport final : public Transport {
     assert(!topo_.trivial());
     assert(static_cast<int>(outgoing.size()) == topo_.group_size);
     shared_->slots[static_cast<std::size_t>(slot_)] = outgoing.data();
-    group_sync();  // publish: every member's slot pointer is now visible
-    std::size_t total = 0;
-    for (int j = 0; j < topo_.group_size; ++j) {
-      total += shared_->slots[static_cast<std::size_t>(j)][slot_].size();
+    group_sync(/*publish=*/true);  // every member's slot pointer is now visible
+    // From here every member reads every slot, so no member may leave —
+    // by return or by exception — before all of them are done reading.
+    // A failure inside the read loop is held until the group has met.
+    std::exception_ptr failure;
+    try {
+      std::size_t total = 0;
+      for (int j = 0; j < topo_.group_size; ++j) {
+        total += shared_->slots[static_cast<std::size_t>(j)][slot_].size();
+      }
+      sink.total_hint(total);
+      for (int j = 0; j < topo_.group_size; ++j) {
+        // slots[j][slot_] is member j's payload for this rank; ascending j
+        // is ascending global source rank (consecutive blocks).
+        sink.deliver(group_base_ + j, shared_->slots[static_cast<std::size_t>(j)][slot_]);
+      }
+    } catch (...) {
+      failure = std::current_exception();
     }
-    sink.total_hint(total);
-    for (int j = 0; j < topo_.group_size; ++j) {
-      // slots[j][slot_] is member j's payload for this rank; ascending j
-      // is ascending global source rank (consecutive blocks).
-      sink.deliver(group_base_ + j, shared_->slots[static_cast<std::size_t>(j)][slot_]);
-    }
-    group_sync();  // consume: spans stay valid until every member is done
+    group_sync(/*publish=*/false);  // spans stay valid until every member is done
+    if (failure) std::rethrow_exception(failure);
   }
 
   void leader_alltoallv(std::span<const std::span<const std::byte>> outgoing,
@@ -221,26 +238,46 @@ class HybridTransport final : public Transport {
   }
 
   void finish() noexcept { socket_.finish(); }
+  [[nodiscard]] const PeerFailure* peer_failure() const noexcept {
+    return socket_.peer_failure();
+  }
 
  private:
-  /// Group rendezvous. Waiters spin on the barrier generation but keep
-  /// pumping their own socket lanes: a remote rank mid-write to a parked
-  /// member always finds its reader live, which is the same deadlock-
-  /// freedom argument write_frame itself relies on. Unwinds with
-  /// AbortedError once any rank (sibling or remote) has failed, so a
-  /// group never waits forever on a dead member.
-  void group_sync() {
-    if (aborted()) throw AbortedError();
-    const std::uint64_t gen = shared_->generation.load(std::memory_order_acquire);
-    if (shared_->count.fetch_add(1, std::memory_order_acq_rel) + 1 == shared_->size) {
-      shared_->count.store(0, std::memory_order_relaxed);
-      shared_->generation.store(gen + 1, std::memory_order_release);
+  /// Group rendezvous. The publish rendezvous (`publish`) is abortable:
+  /// waiters keep pumping their own socket lanes — a remote rank
+  /// mid-write to a parked member always finds its reader live, the same
+  /// deadlock-freedom argument write_frame relies on — and once any rank
+  /// (sibling or remote) has failed they take their arrival back and
+  /// unwind with AbortedError, so a group never waits forever on a dead
+  /// member. The take-back only succeeds while the rendezvous is
+  /// incomplete, so no sibling ever reads the slot of a member that left.
+  /// The consume rendezvous neither pumps nor aborts: every member is
+  /// past the publish rendezvous, inside a read loop that never blocks on
+  /// another rank, so that wait is bounded.
+  void group_sync(bool publish) {
+    if (publish && aborted()) throw AbortedError();
+    const std::uint64_t arrived = shared_->state.fetch_add(1, std::memory_order_acq_rel);
+    const std::uint64_t gen = arrived >> 32;
+    const auto size = static_cast<std::uint64_t>(shared_->size);
+    if ((arrived & kArrivals) + 1 == size) {
+      shared_->state.store((gen + 1) << 32, std::memory_order_release);
       return;
     }
     int spins = 0;
-    while (shared_->generation.load(std::memory_order_acquire) == gen) {
-      if (aborted()) throw AbortedError();
-      socket_.pump_incoming(false);
+    for (;;) {
+      std::uint64_t s = shared_->state.load(std::memory_order_acquire);
+      if (s >> 32 != gen) return;
+      if (publish) {
+        if (aborted() && (s & kArrivals) < size &&
+            shared_->state.compare_exchange_strong(s, s - 1, std::memory_order_acq_rel)) {
+          throw AbortedError();
+        }
+        try {
+          socket_.pump_incoming(false);
+        } catch (...) {
+          raise_abort();  // allocation failure: leave through the take-back above
+        }
+      }
       if (++spins > 64) std::this_thread::yield();
     }
   }
@@ -253,43 +290,6 @@ class HybridTransport final : public Transport {
   std::vector<std::vector<std::byte>> cross_scratch_;
 };
 
-/// run_rank_body's logic for the hybrid wrapper (that helper is bound to
-/// SocketFrameTransport by signature). Same outcome mapping: clean run
-/// sends Goodbye, AbortedError rebroadcasts and stays peer-induced, any
-/// other exception is this rank's own failure.
-int run_hybrid_rank(HybridTransport& transport, const std::function<void(Comm&)>& body,
-                    bool validate, std::string& error_text,
-                    std::exception_ptr* keep_exception) {
-  try {
-    if (validate) {
-      ValidatingTransport checked(transport);
-      {
-        Comm comm(checked);
-        body(comm);
-      }
-      checked.finalize();
-    } else {
-      Comm comm(transport);
-      body(comm);
-    }
-    transport.finish();
-    return kExitClean;
-  } catch (const AbortedError&) {
-    transport.raise_abort();  // rebroadcast; the originator reports the cause
-    return kExitAborted;
-  } catch (const std::exception& e) {
-    error_text = e.what();
-    if (keep_exception != nullptr) *keep_exception = std::current_exception();
-    transport.raise_abort();
-    return kExitFailed;
-  } catch (...) {
-    error_text = "unknown exception";
-    if (keep_exception != nullptr) *keep_exception = std::current_exception();
-    transport.raise_abort();
-    return kExitFailed;
-  }
-}
-
 /// One process's share of the run, parent and child sides alike.
 struct GroupOutcome {
   int code{kExitClean};
@@ -299,10 +299,10 @@ struct GroupOutcome {
 };
 
 GroupOutcome run_group(int group, int nranks, const std::function<void(Comm&)>& body,
-                       bool validate, const HybridOptions& resolved,
+                       bool validate, const HybridOptions& shape, const char* name,
                        const std::vector<std::vector<int>>& mesh) {
-  const int base = group * resolved.ranks_per_proc;
-  const int count = std::min(resolved.ranks_per_proc, nranks - base);
+  const int base = group * shape.ranks_per_proc;
+  const int count = std::min(shape.ranks_per_proc, nranks - base);
   HybridShared shared(count);
   // Loser ranks race to record the group's outcome; lowest failed rank
   // wins, see the merge below.
@@ -319,12 +319,12 @@ GroupOutcome run_group(int group, int nranks, const std::function<void(Comm&)>& 
       std::exception_ptr exception;
       int code = kExitFailed;
       try {
-        Topology topo = resolved.flat_collectives
+        Topology topo = shape.flat_collectives
                             ? Topology::flat(nranks)
-                            : Topology::blocks(nranks, resolved.ranks_per_proc, r);
-        HybridTransport transport(r, nranks, mesh[static_cast<std::size_t>(r)], &shared,
-                                  std::move(topo), base);
-        code = run_hybrid_rank(transport, body, validate, error_text, &exception);
+                            : Topology::blocks(nranks, shape.ranks_per_proc, r);
+        HybridTransport transport(name, r, nranks, mesh[static_cast<std::size_t>(r)],
+                                  &shared, std::move(topo), base);
+        code = run_rank_body(transport, body, validate, error_text, &exception);
       } catch (const std::exception& e) {
         error_text = std::string("transport setup failed: ") + e.what();
         exception = std::current_exception();
@@ -357,16 +357,18 @@ GroupOutcome run_group(int group, int nranks, const std::function<void(Comm&)>& 
 
 [[noreturn]] void hybrid_child_main(int group, int nranks,
                                     const std::function<void(Comm&)>& body, bool validate,
-                                    const HybridOptions& resolved,
+                                    const HybridOptions& shape, const char* name,
                                     const std::vector<std::vector<int>>& mesh,
                                     const std::vector<std::array<int, 2>>& status_pipes) {
-  // Same fork hygiene as the proc backend: drop inherited stdio buffers,
-  // neuter SIGPIPE, keep only this group's mesh rows and status write end.
+  // Fork hygiene: drop stdio buffers copied from the parent so they are
+  // never flushed twice, neuter SIGPIPE (socket writes use MSG_NOSIGNAL;
+  // this covers the status pipe), keep only this group's mesh rows and
+  // status write end.
   __fpurge(stdout);
   __fpurge(stderr);
   ::signal(SIGPIPE, SIG_IGN);
-  const int base = group * resolved.ranks_per_proc;
-  const int end = std::min(base + resolved.ranks_per_proc, nranks);
+  const int base = group * shape.ranks_per_proc;
+  const int end = std::min(base + shape.ranks_per_proc, nranks);
   for (int a = 0; a < nranks; ++a) {
     if (a >= base && a < end) continue;
     for (int b = 0; b < nranks; ++b) {
@@ -380,7 +382,7 @@ GroupOutcome run_group(int group, int nranks, const std::function<void(Comm&)>& 
     if (static_cast<int>(g) != group && sp[1] >= 0) ::close(sp[1]);
   }
   const int status_fd = status_pipes[static_cast<std::size_t>(group)][1];
-  const GroupOutcome out = run_group(group, nranks, body, validate, resolved, mesh);
+  const GroupOutcome out = run_group(group, nranks, body, validate, shape, name, mesh);
   if (out.code == kExitFailed) {
     // "<failed rank>\n<error text>": the parent parses the rank back out
     // so RemoteRankError names the actual thread rank, not just the
@@ -391,16 +393,18 @@ GroupOutcome run_group(int group, int nranks, const std::function<void(Comm&)>& 
     write_all(status_fd, payload.data(), payload.size());
   }
   ::close(status_fd);
+  // _exit, not exit: no atexit handlers, no stdio flush — the parent owns
+  // those. The transports already closed their lanes (EOF).
   ::_exit(out.code);
 }
 
 }  // namespace
 
 void run_hybrid_ranks(int nranks, const std::function<void(Comm&)>& body, bool validate,
-                      const HybridOptions& hybrid) {
-  HybridOptions resolved = resolve_hybrid_options(hybrid);
-  if (resolved.ranks_per_proc > nranks) resolved.ranks_per_proc = nranks;
-  const int ngroups = (nranks + resolved.ranks_per_proc - 1) / resolved.ranks_per_proc;
+                      const HybridOptions& shape_in, const char* name) {
+  HybridOptions shape = shape_in;
+  if (shape.ranks_per_proc > nranks) shape.ranks_per_proc = nranks;
+  const int ngroups = (nranks + shape.ranks_per_proc - 1) / shape.ranks_per_proc;
   const auto n = static_cast<std::size_t>(nranks);
 
   // Full mesh of stream socketpairs, sibling lanes included: mesh[a][b]
@@ -449,7 +453,7 @@ void run_hybrid_ranks(int nranks, const std::function<void(Comm&)>& body, bool v
   for (int g = 1; g < ngroups; ++g) {
     const pid_t pid = ::fork();
     if (pid == 0) {
-      hybrid_child_main(g, nranks, body, validate, resolved, mesh, status_pipes);
+      hybrid_child_main(g, nranks, body, validate, shape, name, mesh, status_pipes);
     }
     if (pid < 0) {
       const int err = errno;
@@ -465,7 +469,7 @@ void run_hybrid_ranks(int nranks, const std::function<void(Comm&)>& body, bool v
 
   // Parent keeps group 0's rows and the status read ends.
   const std::size_t parent_end =
-      static_cast<std::size_t>(std::min(resolved.ranks_per_proc, nranks));
+      static_cast<std::size_t>(std::min(shape.ranks_per_proc, nranks));
   for (std::size_t a = parent_end; a < n; ++a) {
     for (int& fd : mesh[a]) {
       if (fd >= 0) ::close(fd);
@@ -478,7 +482,7 @@ void run_hybrid_ranks(int nranks, const std::function<void(Comm&)>& body, bool v
   }
 
   // Run group 0's ranks as threads of this process.
-  const GroupOutcome parent = run_group(0, nranks, body, validate, resolved, mesh);
+  const GroupOutcome parent = run_group(0, nranks, body, validate, shape, name, mesh);
   // All parent-group transports are destructed: children see our EOFs.
 
   // Harvest children: error text first (EOF-delimited), then exit status.
@@ -505,7 +509,7 @@ void run_hybrid_ranks(int nranks, const std::function<void(Comm&)>& body, bool v
     do {
       rc = ::waitpid(pids[gi], &st, 0);
     } while (rc < 0 && errno == EINTR);
-    const int leader = g * resolved.ranks_per_proc;
+    const int leader = g * shape.ranks_per_proc;
     if (rc < 0) {
       group_code[gi] = kExitFailed;
       group_rank[gi] = leader;

@@ -1,15 +1,17 @@
-// Hybrid composed launcher (implementation in transport_hybrid.cpp).
+// Socket-process launcher (implementation in transport_hybrid.cpp).
 //
 // Declared separately so comm.hpp can dispatch Runtime::run to the hybrid
-// backend without pulling the POSIX machinery into every translation
-// unit. The substrate nests the thread tier inside the socket tier: the
-// fleet is split into groups of `ranks_per_proc` consecutive ranks, each
-// group is one forked process hosting its ranks as threads, and every
-// rank owns a SocketFrameTransport over a pre-fork socketpair mesh for
-// the fine-grained plane. The group tier adds a shared-memory collective
-// plane (span slots + a pump-aware group barrier), and the transport
-// publishes the non-trivial Topology that switches Comm onto the
-// two-level hierarchical collectives.
+// and proc backends without pulling the POSIX machinery into every
+// translation unit. The substrate nests the thread tier inside the socket
+// tier: the fleet is split into groups of `ranks_per_proc` consecutive
+// ranks, each group is one forked process hosting its ranks as threads,
+// and every rank owns a SocketFrameTransport over a pre-fork socketpair
+// mesh for the fine-grained plane. The group tier adds a shared-memory
+// collective plane (span slots + a pump-aware group barrier), and the
+// transport publishes the non-trivial Topology that switches Comm onto
+// the two-level hierarchical collectives. The proc backend is this
+// launcher at one rank per process, whose singleton groups publish the
+// flat topology.
 #pragma once
 
 #include <functional>
@@ -40,16 +42,19 @@ struct HybridOptions {
 
 namespace detail {
 
-/// Runs `body` on every rank of a hybrid fleet: forked group processes
-/// (group 0's ranks run as threads of the caller, so rank-0 result
-/// capture into caller-scope variables keeps working) with
-/// `hybrid.ranks_per_proc` rank threads each, wired by a full socketpair
-/// mesh. Fail-fast mirrors the proc backend: the first failing rank
-/// aborts the fleet; remote failures re-raise on the caller as
-/// RemoteRankError naming the failed rank. With `validate`, each rank's
-/// transport is wrapped in a ValidatingTransport.
+/// Runs `body` on every rank of a socket-process fleet: forked group
+/// processes (group 0's ranks run as threads of the caller, so rank-0
+/// result capture into caller-scope variables keeps working) with
+/// `shape.ranks_per_proc` rank threads each, wired by a full socketpair
+/// mesh. `shape` is taken as given (callers apply resolve_hybrid_options
+/// where the environment should count) and `name` is the backend name the
+/// ranks report. Fail-fast: the first failing rank aborts the fleet; its
+/// error text (and, for a rank of the calling process, its exception
+/// type) is re-raised on the caller — as RemoteRankError naming the
+/// failed rank when the failure happened in a child. With `validate`,
+/// each rank's transport is wrapped in a ValidatingTransport.
 void run_hybrid_ranks(int nranks, const std::function<void(Comm&)>& body, bool validate,
-                      const HybridOptions& hybrid);
+                      const HybridOptions& shape, const char* name);
 
 }  // namespace detail
 }  // namespace plv::pml

@@ -3,10 +3,11 @@
 // discipline — everything about moving pml frames over stream-socket file
 // descriptors that does NOT depend on how those descriptors were created.
 //
-// Two backends host this machinery on different substrates:
+// Two launchers host this machinery on different substrates:
 //
-//   ProcessTransport (transport_proc.cpp) — a pre-fork full mesh of
-//     AF_UNIX socketpairs between forked ranks on one host.
+//   HybridTransport (transport_hybrid.cpp) — a pre-fork full mesh of
+//     AF_UNIX socketpairs between forked processes on one host, each
+//     hosting one or more thread ranks (one for the proc backend).
 //   TcpTransport (transport_tcp.cpp) — a listen/connect mesh of TCP
 //     sockets across hosts (or loopback), established from a host list
 //     with a handshake frame.
@@ -99,8 +100,8 @@ static_assert(sizeof(FrameHeader) == 32);
 /// (a torn frame from a dying peer); abort instead of allocating.
 constexpr std::uint64_t kMaxFramePayload = 1ULL << 40;
 
-/// Per-rank exit codes used by the forked-fleet runners (proc, and the
-/// TCP loopback self-test). kExitAborted marks a peer-induced unwind,
+/// Per-rank exit codes used by the forked-fleet runners (proc, hybrid, and
+/// the TCP loopback self-test). kExitAborted marks a peer-induced unwind,
 /// which the parent does not treat as the originating failure.
 constexpr int kExitClean = 0;
 constexpr int kExitFailed = 1;
@@ -711,20 +712,22 @@ inline void write_all(int fd, const char* data, std::size_t len) noexcept {
 }
 
 /// Runs `body` as one rank against an already-wired transport and maps
-/// the outcome to an exit code + error text. Shared by the proc and TCP
-/// runners, parent and child sides alike.
+/// the outcome to an exit code + error text. The one rank-body runner of
+/// every socket launcher — proc, hybrid and TCP, parent and child sides
+/// alike. `SocketTransport` is SocketFrameTransport or a wrapper around
+/// one that forwards finish(), raise_abort() and peer_failure().
 ///
 /// With `report_peer_failure`, a peer failure recorded on the wire
 /// upgrades the generic AbortedError unwind into a RemoteRankError naming
-/// the dead peer and its endpoint. Fleet runners (proc, TCP loopback)
-/// leave it off — their parent harvests every rank's exit status and
-/// status pipe, which attributes the originating failure more precisely
-/// than a survivor's view of a closed socket; the single-rank multi-host
-/// TCP mode turns it on because the wire is all it has.
-inline int run_rank_body(SocketFrameTransport& transport,
-                         const std::function<void(Comm&)>& body, bool validate,
-                         std::string& error_text, std::exception_ptr* keep_exception,
-                         bool report_peer_failure = false) {
+/// the dead peer and its endpoint. Fleet runners (proc, hybrid, TCP
+/// loopback) leave it off — their parent harvests every rank's exit
+/// status and status pipe, which attributes the originating failure more
+/// precisely than a survivor's view of a closed socket; the single-rank
+/// multi-host TCP mode turns it on because the wire is all it has.
+template <typename SocketTransport>
+int run_rank_body(SocketTransport& transport, const std::function<void(Comm&)>& body,
+                  bool validate, std::string& error_text, std::exception_ptr* keep_exception,
+                  bool report_peer_failure = false) {
   try {
     if (validate) {
       ValidatingTransport checked(transport);

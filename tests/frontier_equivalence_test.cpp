@@ -4,7 +4,7 @@
 // strategies for the same FIND — the row index mirrors Out_Table rows
 // through the table's own fresh/erased verdicts with weights maintained
 // in the same arithmetic order, and both strategies use the exact
-// min-label comparator whenever active scheduling is on. So forcing the
+// min-label comparator (the engine's only tie rule). So forcing the
 // strategy choice to either extreme (frontier_scan_threshold 1 = row
 // scan whenever the frontier is restricted, 0 = always fused) must give
 // bit-identical labels, modularity, and per-iteration trace on every

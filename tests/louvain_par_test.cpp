@@ -95,7 +95,7 @@ TEST(ParLouvain, NaiveVariantConvergesSlowerOrWorse) {
   const auto graph = gen::lfr({.n = 1500, .mu = 0.4, .seed = 27});
   ParOptions with = opts_with(4);
   ParOptions without = opts_with(4);
-  without.threshold = ThresholdModel::kNone;
+  without.refine.threshold = ThresholdModel::kNone;
   const ParResult a = plv::louvain(GraphSource::from_edges(graph.edges, 1500), with);
   const ParResult b = plv::louvain(GraphSource::from_edges(graph.edges, 1500), without);
   EXPECT_GE(a.final_modularity, b.final_modularity - 0.05);

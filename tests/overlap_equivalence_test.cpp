@@ -1,19 +1,27 @@
-// Overlap-mode determinism: the overlapped refine pipeline (streaming
+// Refine-pipeline goldens. The overlapped refine pipeline (streaming
 // exchanges, fused Σin scan, piggybacked move tally, merged reductions)
-// must produce bit-identical labels and modularity to the phased path,
-// on both transports. The streaming drain stages chunks per source and
-// applies them in ascending rank order, and the merged reductions fold
-// in the same rank order as the separate ones — so not just the answer
-// but every intermediate floating-point value matches.
+// used to be checked against a phased twin — blocking collectives,
+// separate reductions — that executed the same arithmetic in the same
+// order. The goldens below were recorded while both pipelines still
+// existed, and both produced them bit for bit; the phased path is gone,
+// so its answer survives here as data. Any change to the labels, the
+// modularity, the per-iteration trace or the communication volume of
+// these runs is a change to the engine's arithmetic or its wire
+// protocol, on whichever transport carries it.
 //
-// Traffic is deterministic too, with one *known* difference: overlap
-// replaces the MoveTally allreduce with P sentinel records per rank per
-// refine iteration (nranks² records globally per iteration), so
-// records_sent differs by exactly that overhead — asserted below — and
-// the collective-round count strictly drops (the point of the PR).
+// Input: LFR n=2000 mu=0.3 seed 23 on 4 ranks. Cases: a cold start, a
+// warm start seeded from the cold run's labels, and the two rebuild
+// cadence extremes (always rebuild / deltas only), each on every
+// transport. Label and trace vectors are pinned by FNV-1a hashes of their
+// bit patterns; a mismatch prints the observed golden in source form.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "common/louvain.hpp"
 #include "core/louvain_par.hpp"
@@ -22,8 +30,6 @@
 
 namespace plv {
 namespace {
-
-constexpr int kRanks = 4;
 
 class OverlapEquivalence : public ::testing::TestWithParam<pml::TransportKind> {
  protected:
@@ -38,116 +44,134 @@ const graph::EdgeList& lfr_input() {
   return g.edges;
 }
 
-core::ParOptions opts_for(pml::TransportKind kind, bool overlap) {
+core::ParOptions opts_for(pml::TransportKind kind) {
   core::ParOptions opts;
-  opts.nranks = kRanks;
+  opts.nranks = 4;
   opts.transport = kind;
-  opts.overlap = overlap;
   return opts;
 }
 
-/// Sentinel records one level's refine loop ships in overlap mode: one
-/// DeltaMsg per (rank, peer) pair per iteration. The iteration count is
-/// read off the level trace (record_trace defaults on).
-std::uint64_t sentinel_records(const LouvainLevel& level) {
-  return static_cast<std::uint64_t>(level.trace.modularity.size()) *
-         static_cast<std::uint64_t>(kRanks) * static_cast<std::uint64_t>(kRanks);
+/// FNV-1a over the 64-bit images of `values`.
+template <typename T>
+std::uint64_t fnv1a(const std::vector<T>& values) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const T& v : values) {
+    std::uint64_t bits = 0;
+    if constexpr (std::is_same_v<T, double>) {
+      bits = std::bit_cast<std::uint64_t>(v);
+    } else {
+      bits = static_cast<std::uint64_t>(v);
+    }
+    for (int b = 0; b < 8; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffU;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
 }
 
-void expect_equivalent(const Result& on, const Result& off) {
-  // Bitwise-equal, not nearly-equal: the two pipelines must execute the
-  // same arithmetic in the same order.
-  EXPECT_EQ(on.final_modularity, off.final_modularity);
-  EXPECT_EQ(on.final_labels, off.final_labels);
-  ASSERT_EQ(on.num_levels(), off.num_levels());
-  std::uint64_t total_sentinels = 0;
-  for (std::size_t l = 0; l < on.num_levels(); ++l) {
-    EXPECT_EQ(on.levels[l].labels, off.levels[l].labels) << "level " << l;
-    EXPECT_EQ(on.levels[l].modularity, off.levels[l].modularity) << "level " << l;
-    ASSERT_EQ(on.levels[l].trace.modularity.size(),
-              off.levels[l].trace.modularity.size())
-        << "level " << l;
-    // Per-iteration trace values are bitwise artifacts of the pipeline
-    // too: cutoffs, per-iteration Q, and propagation volume must match.
-    EXPECT_EQ(on.levels[l].trace.modularity, off.levels[l].trace.modularity)
-        << "level " << l;
-    EXPECT_EQ(on.levels[l].trace.gain_cutoff, off.levels[l].trace.gain_cutoff)
-        << "level " << l;
-    EXPECT_EQ(on.levels[l].trace.prop_records, off.levels[l].trace.prop_records)
-        << "level " << l;
-    // Traffic differs only by the piggybacked tally sentinels.
-    const std::uint64_t sentinels = sentinel_records(on.levels[l]);
-    total_sentinels += sentinels;
-    EXPECT_EQ(on.levels[l].traffic.records_sent,
-              off.levels[l].traffic.records_sent + sentinels)
-        << "level " << l;
-    EXPECT_EQ(on.levels[l].traffic.records_received,
-              off.levels[l].traffic.records_received + sentinels)
-        << "level " << l;
-    // Fewer collective rounds is the PR's reason to exist.
-    EXPECT_LT(on.levels[l].traffic.collectives, off.levels[l].traffic.collectives)
-        << "level " << l;
+struct LevelGolden {
+  std::uint64_t labels;
+  std::size_t iterations;
+  std::uint64_t trace_modularity;
+  std::uint64_t trace_gain_cutoff;
+  std::uint64_t trace_prop_records;
+  bool operator==(const LevelGolden&) const = default;
+};
+
+struct Golden {
+  double final_modularity;
+  std::uint64_t final_labels;
+  std::vector<LevelGolden> levels;
+  std::uint64_t records_sent;
+  std::uint64_t collectives;
+  bool operator==(const Golden&) const = default;
+};
+
+Golden observe(const Result& r) {
+  Golden g{r.final_modularity, fnv1a(r.final_labels), {}, r.traffic.records_sent,
+           r.traffic.collectives};
+  for (const LouvainLevel& level : r.levels) {
+    g.levels.push_back(LevelGolden{fnv1a(level.labels), level.trace.modularity.size(),
+                                   fnv1a(level.trace.modularity),
+                                   fnv1a(level.trace.gain_cutoff),
+                                   fnv1a(level.trace.prop_records)});
   }
-  // The run total includes the final, discarded level (run_levels drops a
-  // level that failed to improve, but its traffic was still spent), whose
-  // iteration count is not in the result — so the total difference is the
-  // recorded sentinels plus whole iterations' worth from that level.
-  ASSERT_GE(on.traffic.records_sent, off.traffic.records_sent);
-  const std::uint64_t diff = on.traffic.records_sent - off.traffic.records_sent;
-  EXPECT_GE(diff, total_sentinels);
-  EXPECT_EQ(diff % (static_cast<std::uint64_t>(kRanks) * kRanks), 0u);
-  EXPECT_LT(on.traffic.collectives, off.traffic.collectives);
+  return g;
 }
+
+std::string to_source(const Golden& g) {
+  char buf[128];
+  std::snprintf(buf, sizeof(buf), "{%a, 0x%016llxULL, {", g.final_modularity,
+                static_cast<unsigned long long>(g.final_labels));
+  std::string out = buf;
+  for (const LevelGolden& l : g.levels) {
+    std::snprintf(buf, sizeof(buf), "\n  {0x%016llxULL, %zu, 0x%016llxULL, ",
+                  static_cast<unsigned long long>(l.labels), l.iterations,
+                  static_cast<unsigned long long>(l.trace_modularity));
+    out += buf;
+    std::snprintf(buf, sizeof(buf), "0x%016llxULL, 0x%016llxULL},",
+                  static_cast<unsigned long long>(l.trace_gain_cutoff),
+                  static_cast<unsigned long long>(l.trace_prop_records));
+    out += buf;
+  }
+  std::snprintf(buf, sizeof(buf), "}, %llu, %llu}",
+                static_cast<unsigned long long>(g.records_sent),
+                static_cast<unsigned long long>(g.collectives));
+  return out + buf;
+}
+
+void expect_golden(const Result& r, const Golden& expected, const char* what) {
+  const Golden actual = observe(r);
+  EXPECT_EQ(actual.final_modularity, expected.final_modularity) << what;
+  EXPECT_EQ(actual.final_labels, expected.final_labels) << what;
+  EXPECT_EQ(actual.levels, expected.levels) << what;
+  EXPECT_EQ(actual.records_sent, expected.records_sent) << what;
+  EXPECT_EQ(actual.collectives, expected.collectives) << what;
+  if (actual != expected) ADD_FAILURE() << what << " observed " << to_source(actual);
+}
+
+// Level entries: {labels, iterations, trace.modularity, trace.gain_cutoff,
+// trace.prop_records}. The cadence changes only the propagation volume.
+const Golden kCold{0x1.1151fa41668eep-1, 0x06bc4175b5fe7183ULL, {
+  {0x117797b4f63f7073ULL, 64, 0xb42874f7e47b5275ULL, 0xbd6bfcc8329e321eULL, 0x55f4b1a7aa094597ULL},
+  {0x29d208e470549f08ULL, 14, 0x010c9e0867100758ULL, 0x11bedeecc8792472ULL, 0x9bc627b5352221d5ULL}},
+  466878, 1032};
+const Golden kWarm{0x1.126d38ec12cdep-1, 0x4ed3d38afbd8aba2ULL, {
+  {0x4ed3d38afbd8aba2ULL, 2, 0x47b45efbd14dd725ULL, 0x85ca50b95f03c1d8ULL, 0x31b8b7ed6772821bULL}},
+  40397, 104};
+const Golden kRebuildEveryIteration{0x1.1151fa41668eep-1, 0x06bc4175b5fe7183ULL, {
+  {0x117797b4f63f7073ULL, 64, 0xb42874f7e47b5275ULL, 0xbd6bfcc8329e321eULL, 0xc862f84df76847a5ULL},
+  {0x29d208e470549f08ULL, 14, 0x010c9e0867100758ULL, 0x11bedeecc8792472ULL, 0x6dcc638c3aa8c315ULL}},
+  2163308, 1032};
+const Golden kNeverRebuild{0x1.1151fa41668eep-1, 0x06bc4175b5fe7183ULL, {
+  {0x117797b4f63f7073ULL, 64, 0xb42874f7e47b5275ULL, 0xbd6bfcc8329e321eULL, 0x3bb4965847b0adcfULL},
+  {0x29d208e470549f08ULL, 14, 0x010c9e0867100758ULL, 0x11bedeecc8792472ULL, 0x9bc627b5352221d5ULL}},
+  438307, 1032};
 
 TEST_P(OverlapEquivalence, ColdStartIsBitIdentical) {
-  const auto on = louvain(GraphSource::from_edges(lfr_input()),
-                          opts_for(GetParam(), /*overlap=*/true));
-  const auto off = louvain(GraphSource::from_edges(lfr_input()),
-                           opts_for(GetParam(), /*overlap=*/false));
-  expect_equivalent(on, off);
+  const auto r = louvain(GraphSource::from_edges(lfr_input()), opts_for(GetParam()));
+  expect_golden(r, kCold, "cold");
 }
 
 TEST_P(OverlapEquivalence, WarmStartIsBitIdentical) {
-  const auto seed_run = louvain(GraphSource::from_edges(lfr_input()),
-                                opts_for(GetParam(), /*overlap=*/true));
-  const auto on =
-      louvain(GraphSource::from_edges_warm(lfr_input(), seed_run.final_labels),
-              opts_for(GetParam(), /*overlap=*/true));
-  const auto off =
-      louvain(GraphSource::from_edges_warm(lfr_input(), seed_run.final_labels),
-              opts_for(GetParam(), /*overlap=*/false));
-  expect_equivalent(on, off);
+  const auto opts = opts_for(GetParam());
+  const auto seed_run = louvain(GraphSource::from_edges(lfr_input()), opts);
+  const auto r =
+      louvain(GraphSource::from_edges_warm(lfr_input(), seed_run.final_labels), opts);
+  expect_golden(r, kWarm, "warm");
 }
 
-// The delta-maintenance ablation must stay bit-identical under overlap:
-// the carried Σin and the piggybacked tally interact with both the
-// always-rebuild and the never-rebuild cadence.
+// The carried Σin and the piggybacked move tally interact with both the
+// always-rebuild and the never-rebuild Out_Table cadence.
 TEST_P(OverlapEquivalence, RebuildCadenceExtremesAreBitIdentical) {
-  for (const int cadence :
-       {core::kRebuildEveryIteration, core::kNeverRebuild}) {
-    auto on_opts = opts_for(GetParam(), /*overlap=*/true);
-    auto off_opts = opts_for(GetParam(), /*overlap=*/false);
-    on_opts.full_rebuild_every = off_opts.full_rebuild_every = cadence;
-    const auto on = louvain(GraphSource::from_edges(lfr_input()), on_opts);
-    const auto off = louvain(GraphSource::from_edges(lfr_input()), off_opts);
-    expect_equivalent(on, off);
-  }
-}
-
-// The phased path must also stay transport-independent (the default-on
-// overlap path is pinned by transport_equivalence_test).
-TEST(OverlapEquivalenceCross, PhasedPathIsTransportIndependent) {
-  PLV_SKIP_IF_UNSUPPORTED(pml::TransportKind::kProc);
-  pml::ScopedTransportEnv park_env;
-  const auto thread_r =
-      louvain(GraphSource::from_edges(lfr_input()),
-              opts_for(pml::TransportKind::kThread, /*overlap=*/false));
-  const auto proc_r =
-      louvain(GraphSource::from_edges(lfr_input()),
-              opts_for(pml::TransportKind::kProc, /*overlap=*/false));
-  EXPECT_EQ(thread_r.final_modularity, proc_r.final_modularity);
-  EXPECT_EQ(thread_r.final_labels, proc_r.final_labels);
-  EXPECT_EQ(thread_r.traffic.records_sent, proc_r.traffic.records_sent);
+  auto opts = opts_for(GetParam());
+  opts.refine.full_rebuild_every = core::kRebuildEveryIteration;
+  expect_golden(louvain(GraphSource::from_edges(lfr_input()), opts),
+                kRebuildEveryIteration, "kRebuildEveryIteration");
+  opts.refine.full_rebuild_every = core::kNeverRebuild;
+  expect_golden(louvain(GraphSource::from_edges(lfr_input()), opts), kNeverRebuild,
+                "kNeverRebuild");
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, OverlapEquivalence,

@@ -4,6 +4,7 @@
 
 #include <cstdlib>
 #include <numeric>
+#include <span>
 #include <tuple>
 
 #include "transport_param.hpp"
@@ -125,16 +126,27 @@ TEST_P(CommTest, ExchangeRoutesByDestination) {
   });
 }
 
+// Request/reply over the streaming plane, arrivals grouped by source —
+// the shape of the engine's Σtot fetch: each rank answers what source s
+// asked, and the reply to s comes back matched with s's own requests.
 TEST_P(CommTest, ExchangeGroupedMatchesRequestReply) {
   const int n = nranks();
   run([&](Comm& comm) {
+    const auto grouped = [&](const std::vector<std::vector<int>>& outgoing) {
+      std::vector<std::vector<int>> incoming(static_cast<std::size_t>(n));
+      comm.exchange_streaming<int>(outgoing, [&](int src, std::span<const int> vals) {
+        auto& dst = incoming[static_cast<std::size_t>(src)];
+        dst.insert(dst.end(), vals.begin(), vals.end());
+      });
+      return incoming;
+    };
     std::vector<std::vector<int>> requests(static_cast<std::size_t>(n));
     for (int d = 0; d < n; ++d) {
       for (int i = 0; i <= comm.rank(); ++i) {
         requests[static_cast<std::size_t>(d)].push_back(i);
       }
     }
-    const auto incoming = comm.exchange_grouped(requests);
+    const auto incoming = grouped(requests);
     // Reply with value*2, grouped per source.
     std::vector<std::vector<int>> replies(static_cast<std::size_t>(n));
     for (int s = 0; s < n; ++s) {
@@ -142,7 +154,7 @@ TEST_P(CommTest, ExchangeGroupedMatchesRequestReply) {
         replies[static_cast<std::size_t>(s)].push_back(v * 2);
       }
     }
-    const auto answers = comm.exchange_grouped(replies);
+    const auto answers = grouped(replies);
     for (int s = 0; s < n; ++s) {
       PLV_RANK_CHECK_EQ(answers[static_cast<std::size_t>(s)].size(),
                         static_cast<std::size_t>(comm.rank()) + 1);

@@ -8,14 +8,17 @@
 //    matches a recomputation on the true current graph;
 //  * snapshots are immutable versioned values: epoch-monotone, readable
 //    concurrently with applies, and an old snapshot never changes;
-//  * failed applies (removing an absent edge) surface on the caller and
-//    kill the session, but the last good snapshot keeps serving.
+//  * a batch that removes an absent edge is rejected whole: apply()
+//    throws std::invalid_argument, the fleet and the served snapshot stay
+//    as they were, and the next valid batch publishes the next epoch;
+//    apply_edge_delta itself is all or nothing.
 #include "core/session.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -310,18 +313,55 @@ TEST(Session, FrontierRequiresCyclicPartition) {
 TEST(Session, BadRemovalFailsTheApplyButKeepsServingSnapshots) {
   pml::ScopedTransportEnv park;
   const auto g = gen::lfr({.n = 200, .mu = 0.3, .seed = 111});
-  const auto opts = session_opts(2, core::StreamingPlan::fast());
-  Session session(GraphSource::from_edges(g.edges, 200), opts);
-  const auto good = session.snapshot();
+  for (const auto kind : {pml::TransportKind::kThread, pml::TransportKind::kProc}) {
+    if (!pml::transport_supported_in_this_build(kind)) continue;
+    SCOPED_TRACE(pml::transport_kind_name(kind));
+    const auto opts = session_opts(2, core::StreamingPlan::deterministic(), kind);
+    Session session(GraphSource::from_edges(g.edges, 200), opts);
+    const auto good = session.snapshot();
 
-  EdgeDelta bogus;
-  bogus.removals.add(0, 1, 123.456);  // no such record
-  EXPECT_THROW((void)session.apply(bogus), std::invalid_argument);
+    // The first removal names a real record, the second none: the batch
+    // is rejected whole, on every rank alike.
+    const Edge present = g.edges.edges().front();
+    EdgeDelta bogus;
+    bogus.removals.add(present.u, present.v, present.w);
+    bogus.removals.add(0, 1, 123.456);  // no such record
+    bogus.inserts.add(5, 6, 1.0);
+    EXPECT_THROW((void)session.apply(bogus), std::invalid_argument);
+    EXPECT_EQ(session.snapshot(), good);
+    EXPECT_EQ(session.epoch(), good->epoch);
 
-  // The fleet is gone, but reads still serve the last good epoch.
-  EXPECT_EQ(session.snapshot()->epoch, good->epoch);
-  EXPECT_THROW((void)session.apply(EdgeDelta{}), std::exception);
-  session.close();
+    // The fleet keeps applying, and the next epoch has no gap. Under the
+    // deterministic plan it is a cold run of the graph the rejected batch
+    // never touched.
+    EdgeDelta valid;
+    valid.inserts.add(0, 199, 1.0);
+    const auto next = session.apply(valid);
+    EXPECT_EQ(next->epoch, good->epoch + 1);
+    graph::EdgeList mirror = g.edges;
+    apply_edge_delta(mirror, valid);
+    const auto cold = louvain(GraphSource::from_edges(mirror, 200), opts);
+    EXPECT_EQ(next->labels, cold.final_labels);
+    EXPECT_EQ(next->modularity, cold.final_modularity);
+    session.close();
+  }
+}
+
+TEST(ApplyEdgeDelta, MissingRemovalRollsBackEarlierRemovals) {
+  graph::EdgeList edges;
+  edges.add(0, 1, 1.0);
+  edges.add(1, 2, 2.0);
+  edges.add(2, 3, 3.0);
+  edges.add(1, 2, 2.0);  // parallel record: the removal takes the first
+  const std::vector<Edge> before = edges.edges();
+
+  EdgeDelta delta;
+  delta.removals.add(2, 1, 2.0);  // present
+  delta.removals.add(7, 8, 1.0);  // missing
+  delta.inserts.add(5, 6, 1.0);
+  EXPECT_THROW((void)apply_edge_delta(edges, delta), std::invalid_argument);
+  ASSERT_EQ(edges.size(), before.size());
+  EXPECT_EQ(std::memcmp(edges.edges().data(), before.data(), before.size() * sizeof(Edge)), 0);
 }
 
 TEST(Session, ApplyAfterCloseThrows) {
