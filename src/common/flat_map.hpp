@@ -27,7 +27,7 @@ template <typename Value>
 class FlatMap {
  public:
   /// Pre-sizes so `expected` entries fit without growing.
-  explicit FlatMap(std::size_t expected = 0) { reserve(expected); }
+  explicit FlatMap(std::size_t expected = 0) { reset(expected); }
 
   /// Value slot for `key`, default-constructed on first access (the
   /// operator[] idiom).
@@ -116,11 +116,19 @@ class FlatMap {
     size_ = 0;
   }
 
-  /// Ensures capacity for `expected` entries at the fixed 1/2 load factor.
-  void reserve(std::size_t expected) {
-    if (expected == 0) return;
-    const auto target = static_cast<std::size_t>(next_pow2(expected * 2 + 1));
-    if (target > slots_.size()) rehash(target);
+  /// Empties the map and sizes it for `expected` entries at the fixed 1/2
+  /// load factor, shrinking as readily as growing: afterwards the capacity
+  /// is exactly what `expected` needs, whatever the map held before. A map
+  /// already at that capacity is cleared in place; otherwise the old slots
+  /// are freed before the new ones are allocated.
+  void reset(std::size_t expected) {
+    const std::size_t needed = required_capacity(expected);
+    if (needed == slots_.size()) {
+      clear();
+      return;
+    }
+    std::vector<Slot>().swap(slots_);
+    allocate(needed);
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
@@ -140,16 +148,27 @@ class FlatMap {
 
   void grow() { rehash(slots_.empty() ? 16 : slots_.size() * 2); }
 
+  [[nodiscard]] static std::size_t required_capacity(std::size_t expected) noexcept {
+    return expected == 0 ? 0 : static_cast<std::size_t>(next_pow2(expected * 2 + 1));
+  }
+
   void rehash(std::size_t new_capacity) {
     assert(is_pow2(new_capacity));
     std::vector<Slot> old = std::move(slots_);
-    slots_.assign(new_capacity, Slot{});
-    mask_ = new_capacity - 1;
-    max_entries_ = new_capacity / 2;
-    size_ = 0;
+    allocate(new_capacity);
     for (const Slot& slot : old) {
       if (slot.key != kInvalidVid) ref(slot.key) = slot.value;
     }
+  }
+
+  /// Installs `capacity` empty slots (0 or a power of two) into an
+  /// already released slot array.
+  void allocate(std::size_t capacity) {
+    assert(slots_.empty() && (capacity == 0 || is_pow2(capacity)));
+    slots_.assign(capacity, Slot{});
+    mask_ = capacity == 0 ? 0 : capacity - 1;
+    max_entries_ = capacity / 2;
+    size_ = 0;
   }
 
   std::vector<Slot> slots_;

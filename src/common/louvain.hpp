@@ -7,10 +7,13 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -125,32 +128,80 @@ struct EdgeDelta {
 /// both in batch order — deterministic, so every rank of a fleet that
 /// applies the same batch holds byte-identical replicas). Returns the
 /// resulting vertex count: max(list's own count, delta.n_vertices).
-/// All or nothing: when a removal names no existing record it throws
-/// std::invalid_argument and leaves `edges` byte-identical to the input.
+/// A removal matches a record with the same unordered endpoints and an
+/// equal weight (`==`: +0.0 matches -0.0, NaN matches nothing), and takes
+/// the first matching record, in list order, that no earlier removal of
+/// the batch took. All or nothing: when a removal finds no record it
+/// throws std::invalid_argument and leaves `edges` byte-identical to the
+/// input.
 inline vid_t apply_edge_delta(graph::EdgeList& edges, const EdgeDelta& delta) {
   auto& recs = edges.edges();
-  // Undo log of the removals done so far, (position, record) in erase
-  // order. Only a missing removal replays it, so a valid batch pays one
-  // push per removal and no validation pass.
-  std::vector<std::pair<std::size_t, Edge>> erased;
-  erased.reserve(delta.removals.size());
-  for (const Edge& r : delta.removals) {
-    const auto hit = std::find_if(recs.begin(), recs.end(), [&](const Edge& e) {
-      const bool same_pair =
-          (e.u == r.u && e.v == r.v) || (e.u == r.v && e.v == r.u);
-      return same_pair && e.w == r.w;
-    });
-    if (hit == recs.end()) {
-      for (auto it = erased.rbegin(); it != erased.rend(); ++it) {
-        recs.insert(recs.begin() + static_cast<std::ptrdiff_t>(it->first), it->second);
+  const auto& removals = delta.removals.edges();
+  if (!removals.empty()) {
+    // One pass instead of one list scan per removal: the removals, sorted
+    // by key and stably (batch order within a key), meet the records in
+    // list order, so the k-th record with a key goes to the k-th removal
+    // of that key in batch order — exactly what removing them one at a
+    // time would pick.
+    struct Want {
+      vid_t lo;
+      vid_t hi;
+      std::uint64_t w;  // bit image of the weight, -0.0 folded into +0.0
+      std::size_t order;
+    };
+    const auto want_of = [](const Edge& e, std::size_t order) {
+      return Want{std::min(e.u, e.v), std::max(e.u, e.v),
+                  std::bit_cast<std::uint64_t>(e.w == 0.0 ? 0.0 : e.w), order};
+    };
+    const auto key_less = [](const Want& a, const Want& b) {
+      return std::tie(a.lo, a.hi, a.w) < std::tie(b.lo, b.hi, b.w);
+    };
+    std::vector<Want> want;
+    want.reserve(removals.size());
+    for (std::size_t i = 0; i < removals.size(); ++i) want.push_back(want_of(removals[i], i));
+    std::stable_sort(want.begin(), want.end(), key_less);
+    std::vector<std::size_t> taken(want.size(), 0);  // per key group, at its first slot
+    std::vector<std::size_t> hits;                   // matched record positions, ascending
+    hits.reserve(want.size());
+    for (std::size_t p = 0; p < recs.size() && hits.size() < want.size(); ++p) {
+      if (std::isnan(recs[p].w)) continue;
+      const Want key = want_of(recs[p], 0);
+      const auto it = std::lower_bound(want.begin(), want.end(), key, key_less);
+      if (it == want.end() || key_less(key, *it)) continue;
+      const auto group = static_cast<std::size_t>(it - want.begin());
+      const std::size_t slot = group + taken[group];
+      if (slot < want.size() && !key_less(*it, want[slot])) {
+        ++taken[group];
+        hits.push_back(p);
       }
+    }
+    if (hits.size() < want.size()) {
+      // The removal that fails first in batch order: the earliest
+      // unmatched one of any key group.
+      std::size_t first = removals.size();
+      for (std::size_t g = 0; g < want.size();) {
+        std::size_t end = g + 1;
+        while (end < want.size() && !key_less(want[g], want[end])) ++end;
+        if (g + taken[g] < end) first = std::min(first, want[g + taken[g]].order);
+        g = end;
+      }
+      const Edge& r = removals[first];
       throw std::invalid_argument(
           "apply_edge_delta: removal (" + std::to_string(r.u) + ", " +
           std::to_string(r.v) + ", w=" + std::to_string(r.w) +
           ") names no existing edge record");
     }
-    erased.emplace_back(static_cast<std::size_t>(hit - recs.begin()), *hit);
-    recs.erase(hit);  // order-preserving compaction
+    // Order-preserving compaction around the matched records.
+    std::size_t out = hits.front();
+    std::size_t h = 0;
+    for (std::size_t p = hits.front(); p < recs.size(); ++p) {
+      if (h < hits.size() && hits[h] == p) {
+        ++h;
+        continue;
+      }
+      recs[out++] = recs[p];
+    }
+    recs.resize(out);
   }
   for (const Edge& e : delta.inserts) edges.add(e.u, e.v, e.w);
   return std::max(edges.vertex_count(), delta.n_vertices);

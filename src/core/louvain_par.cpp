@@ -110,12 +110,12 @@ struct RowEntry {
 /// A(u, u) = 2w. Shared by one-shot ingestion (RankEngine::init_from_edges)
 /// and the Session's resident-table cold rebuilds: the table layout — and
 /// with it every downstream scan order — depends on the insertion
-/// sequence, so running the *same* fill over the same list is what makes a
-/// cold rebuild inside a fleet bit-identical to a one-shot run.
+/// sequence and the starting capacity, so running the *same* fill — reset
+/// to the same size — over the same list is what makes a cold rebuild
+/// inside a fleet bit-identical to a one-shot run.
 void fill_in_table(hashing::EdgeTable& table, const graph::EdgeList& edges,
                    const graph::Partition1D& part, int me, int nranks) {
-  table.clear();
-  table.reserve(2 * edges.size() / static_cast<std::size_t>(nranks) + 16);
+  table.reset(2 * edges.size() / static_cast<std::size_t>(nranks) + 16);
   for (const Edge& e : edges) {
     if (e.u == e.v) {
       if (part.owner(e.u) == me) {
@@ -156,17 +156,28 @@ class RankEngine {
   }
 
   /// Builds level 0 from an already-filled In_Table slice — the Session's
-  /// resident table. The slice is *copied*, and a copy preserves the exact
-  /// array layout, so a table filled by fill_in_table drives the same run
-  /// a cold init_from_edges on the same list would (bit for bit), while a
-  /// delta-patched table drives the incremental re-refine.
-  void init_from_table(const hashing::EdgeTable& in0, vid_t n) {
+  /// resident table, moved in for the run and handed back afterwards by
+  /// return_level0_table. A move preserves the exact array layout, so a
+  /// table filled by fill_in_table drives the same run a cold
+  /// init_from_edges on the same list would (bit for bit), while a
+  /// delta-patched table drives the incremental re-refine. Level 0 only
+  /// reads the table, and graph_reconstruction parks it instead of
+  /// dropping it.
+  void init_from_table(hashing::EdgeTable&& in0, vid_t n) {
     part_ = graph::Partition1D(opts_.partition, n, comm_.nranks());
     n_level_ = n;
     level_index_ = 0;
-    in_table_ = in0;
+    in_table_ = std::move(in0);
+    lent_level0_ = true;
     init_level_state();
     two_m_ = comm_.allreduce_sum(local_strength_sum());
+  }
+
+  /// Gives the table init_from_table took back to `in0`, unchanged.
+  void return_level0_table(hashing::EdgeTable& in0) {
+    assert(lent_level0_);
+    lent_level0_ = false;
+    in0 = std::move(level_index_ == 0 ? in_table_ : parked_level0_);
   }
 
   /// Restricts refinement to the disturbed-vertex frontier: only vertices
@@ -175,13 +186,11 @@ class RankEngine {
   /// neighbor learns its community surroundings changed — may move;
   /// everyone else's gain is zeroed before the threshold histogram. Call
   /// after init_from_table + warm_start. Level 0 only: reconstruction
-  /// lifts the restriction, and run_levels stops after level 0 when the
-  /// frontier never produced a move (an undisturbed partition cannot
-  /// change at coarser levels either).
+  /// lifts the restriction, and the run stops after level 0 when the
+  /// frontier never produced a move (see frontier_stalled).
   void enable_frontier(const std::vector<vid_t>& seeds) {
     pinned_ = true;
     restricted_ = true;
-    frontier_was_on_ = true;
     active_.assign(label_.size(), 0);
     const int me = comm_.rank();
     for (vid_t v : seeds) {
@@ -189,8 +198,14 @@ class RankEngine {
     }
   }
 
-  [[nodiscard]] bool frontier_was_enabled() const noexcept { return frontier_was_on_; }
-  [[nodiscard]] std::uint64_t last_level_moves() const noexcept { return level_moves_; }
+  /// True when a pinned frontier's level-0 pass moved nothing: the
+  /// partition is exactly as warm-seeded, and the coarser levels were
+  /// already converged by the epoch that produced that seed, so the run
+  /// ends after level 0 and skips its reconstruction. (pinned_ survives
+  /// only until a reconstruction re-inits the level state.)
+  [[nodiscard]] bool frontier_stalled() const noexcept {
+    return pinned_ && level_moves_ == 0;
+  }
 
   /// Re-seeds the community state from a prior partition (warm start).
   /// Must run after init_from_edges/init_from_slice: ownership arrays are
@@ -228,8 +243,7 @@ class RankEngine {
     part_ = graph::Partition1D(opts_.partition, n, comm_.nranks());
     n_level_ = n;
     level_index_ = 0;
-    in_table_.clear();
-    in_table_.reserve(2 * slice.size() / static_cast<std::size_t>(comm_.nranks()) + 16);
+    in_table_.reset(2 * slice.size() / static_cast<std::size_t>(comm_.nranks()) + 16);
     pml::Aggregator<EdgeMsg> agg(comm_, opts_.aggregator_capacity);
     for (const Edge& e : slice) {
       if (e.u == e.v) {
@@ -262,7 +276,7 @@ class RankEngine {
 
     {
       ScopedPhase sp(timers_, phase::kStatePropagation);
-      state_propagation_full();
+      state_propagation_full(in_table_.size() + 16);
     }
     // Σin was accumulated by the propagation drain itself; only the
     // owner exchange and the reduction remain.
@@ -286,7 +300,9 @@ class RankEngine {
     level.num_communities = relabel_keys.size();
     level.labels = gather_level_labels(dense);
 
-    {
+    // Every rank reads the same allreduced move count, so all of them skip
+    // the reconstruction's all-to-all together.
+    if (!frontier_stalled()) {
       ScopedPhase sp(timers_, phase::kGraphReconstruction);
       graph_reconstruction(dense, static_cast<vid_t>(relabel_keys.size()));
     }
@@ -353,14 +369,11 @@ class RankEngine {
       adj_[cursor[l]++] = InEdge{key_hi(key), w};
     });
 
-    comms_.clear();
-    comms_.reserve(static_cast<std::size_t>(local_n) + 1);
+    comms_.reset(static_cast<std::size_t>(local_n) + 1);
     for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- level setup, runs once per level
       const vid_t u = part_.to_global(comm_.rank(), l);
       comms_.ref(u) = CommInfo{strength_[l], 0.0, 1};
     }
-    out_table_.clear();
-    out_table_.reserve(in_table_.size() + 16);
     moves_.clear();
     iters_since_rebuild_ = 0;
     // What a full propagation costs, in records: one per In_Table entry,
@@ -401,17 +414,23 @@ class RankEngine {
 
   // -- STATE PROPAGATION (Algorithm 3) --------------------------------------
 
-  /// Full rebuild: clears Out_Table and re-ships every In_Table entry
+  /// Full rebuild: empties Out_Table and re-ships every In_Table entry
   /// under its current label. Re-derives the Σtot request bookkeeping from
   /// scratch, which also resets any floating-point drift the incremental
   /// path accumulated on non-integer weights. The drain doubles as the Σin
   /// accumulation pass: a record (v, c, w) with label(v) == c is exactly a
   /// Σin contribution, so sin_acc_ is rebuilt from scratch here — fused
   /// into the receive loop instead of a separate full table scan.
-  void state_propagation_full() {
-    out_table_.clear();
-    sin_acc_.clear();
-    sin_acc_.reserve(label_.size() + 1);
+  ///
+  /// `expected` sizes the emptied Out_Table (DESIGN.md decision 8): the
+  /// In_Table's count at a level's opening, and the live count at a later
+  /// rebuild, which re-creates exactly the live key set. Capacity — and
+  /// with it every scan order over the table — thus follows this level's
+  /// sizes alone: a coarse level never sweeps level 0's slots, and the
+  /// table shrinks as communities form.
+  void state_propagation_full(std::size_t expected) {
+    out_table_.reset(expected);
+    sin_acc_.reset(label_.size() + 1);
     if (use_rows_) {
       for (auto& row : rows_) row.clear();
     }
@@ -564,10 +583,13 @@ class RankEngine {
   }
 
   /// Re-derives comm_refs_ and sigma_reqs_ from the freshly rebuilt
-  /// Out_Table and current labels.
+  /// Out_Table and current labels, and sizes the Σtot reply cache for
+  /// the rebuilt request set. The request count mostly falls between
+  /// rebuilds as communities merge, so that size is the cache's slack: the
+  /// sweeps up to the next rebuild clear it in place instead of
+  /// reallocating it each time the count crosses a power of two.
   void rebuild_sigma_requests() {
-    comm_refs_.clear();
-    comm_refs_.reserve(out_table_.size() / 2 + label_.size() + 1);
+    comm_refs_.reset(out_table_.size() / 2 + label_.size() + 1);
     out_table_.for_each(
         [&](std::uint64_t key, weight_t) { ++comm_refs_.ref(key_lo(key)); });
     for (vid_t c : label_) ++comm_refs_.ref(c);
@@ -577,6 +599,7 @@ class RankEngine {
     });
     for (auto& reqs : sigma_reqs_) std::sort(reqs.begin(), reqs.end());
     refs_dirty_.clear();
+    sigma_cache_.reset(comm_refs_.size());
   }
 
   /// Folds the dirty log into the sorted request lists. A community is
@@ -667,9 +690,6 @@ class RankEngine {
         static_cast<double>(scanned_) <=
             opts_.refine.frontier_scan_threshold * static_cast<double>(local_n);
 
-    std::size_t total_reqs = 0;
-    for (const auto& reqs : sigma_reqs_) total_reqs += reqs.size();
-
     if (req_in_.size() != nranks) req_in_.resize(nranks);
     for (auto& reqs : req_in_) reqs.clear();
     if (replies_.size() != nranks) replies_.resize(nranks);
@@ -691,8 +711,7 @@ class RankEngine {
                                       : SigmaRep{info->sigma_tot, info->members});
       }
     }
-    sigma_cache_.clear();
-    sigma_cache_.reserve(total_reqs + 1);
+    sigma_cache_.clear();  // sized by rebuild_sigma_requests
     // Replies from owner r answer sigma_reqs_[r] in order; a per-source
     // cursor keeps the pairing correct across chunk boundaries.
     reply_cursor_.assign(nranks, 0);
@@ -755,8 +774,7 @@ class RankEngine {
     // (c != cu). Comparing joins by (w_uc − Σtot_c·k_u/2m) is equivalent
     // to comparing ΔQ (metrics/modularity.hpp); the final gain is the
     // join-vs-stay difference rescaled to true ΔQ units.
-    sin_acc_.clear();
-    sin_acc_.reserve(label_.size() + 1);
+    sin_acc_.reset(label_.size() + 1);
     out_table_.for_each([&](std::uint64_t key, weight_t w) {
       const vid_t u = key_hi(key);
       const vid_t c = key_lo(key);
@@ -1047,7 +1065,7 @@ class RankEngine {
       t.reset();
       const std::uint64_t sent_before = comm_.stats().records_sent;
       if (rebuild_due || !delta_wins) {
-        state_propagation_full();  // resets drift_accum_
+        state_propagation_full(out_table_.size());  // resets drift_accum_
       } else {
         drift_accum_ += churn;
         state_propagation_delta();
@@ -1156,6 +1174,7 @@ class RankEngine {
       }
     });
 
+    if (lent_level0_ && level_index_ == 0) parked_level0_ = std::move(in_table_);
     in_table_ = std::move(next_in);
     part_ = next_part;
     n_level_ = next_n;
@@ -1173,6 +1192,10 @@ class RankEngine {
 
   hashing::EdgeTable in_table_;
   hashing::EdgeTable out_table_;
+  // A level-0 In_Table lent by init_from_table goes back to its owner
+  // after the run; once a reconstruction replaces it, it waits here.
+  bool lent_level0_{false};
+  hashing::EdgeTable parked_level0_;
 
   // Per owned vertex (local index):
   std::vector<weight_t> strength_;
@@ -1201,16 +1224,13 @@ class RankEngine {
   // iteration as movers ∪ patched and a full rebuild reactivates all).
   // use_rows_ keeps the per-vertex sorted community rows (rows_) mirrored
   // off the Out_Table so a small frontier can scan rows instead of the
-  // table. frontier_was_on_ remembers a pinned request across the level
-  // transition (the restriction itself is per-level) so run_levels can
-  // stop after a no-op level 0; level_moves_ is that level's global move
-  // count; scanned_ counts the vertices whose join search the last FIND
-  // actually ran.
+  // table. level_moves_ is the current level's global move count;
+  // scanned_ counts the vertices whose join search the last FIND actually
+  // ran.
   bool pinned_{false};
   bool restricted_{false};
   bool prune_{false};
   bool use_rows_{false};
-  bool frontier_was_on_{false};
   std::vector<std::uint8_t> active_;
   std::vector<std::vector<RowEntry>> rows_;
   std::uint64_t level_moves_{0};
@@ -1392,13 +1412,10 @@ ParResult run_levels(pml::Comm& comm, RankEngine& engine, vid_t n, const ParOpti
     result.final_modularity = level.modularity;
     result.levels.push_back(std::move(level));
     if (!compressed) break;
-    // A frontier run whose disturbed region never produced a move left
-    // the partition exactly as warm-seeded; the coarser levels were
-    // already converged by the epoch that produced that seed, so stop
-    // after level 0 instead of re-walking the whole hierarchy.
-    if (level_idx == 0 && engine.frontier_was_enabled() && engine.last_level_moves() == 0) {
-      break;
-    }
+    // A frontier run whose disturbed region never produced a move stops
+    // after level 0 instead of re-walking the whole hierarchy; run_level
+    // already skipped the reconstruction nothing would read.
+    if (engine.frontier_stalled()) break;
   }
 
   // Aggregate telemetry. Phase timers reduce by max over ranks (the
@@ -1621,18 +1638,22 @@ void session_rank_body(pml::Comm& comm, SessionShared& shared) {
   std::vector<vid_t> labels;  // latest full label vector (every rank)
   int batches_since_cold = 0;
 
-  // One detection pass over the resident table. The engine is built fresh
-  // per pass on purpose: persistent engine scratch (table capacities in
-  // particular) would shift scan orders away from what a one-shot cold
-  // run produces, breaking the cold path's bit-for-bit equivalence.
+  // One detection pass over the resident table, which the engine borrows
+  // by move instead of copying it, and hands back whichever way run_levels
+  // returns. (A throw ends the fleet, and the table with it.) Each pass
+  // gets a fresh engine, and every table the engine sizes takes its
+  // capacity from its own level's counts, so a cold rebuild here scans in
+  // the same order a one-shot run does.
   const auto detect = [&](const std::vector<vid_t>* warm,
                           const std::vector<vid_t>* frontier_seeds) {
     WallTimer busy;
     RankEngine engine(comm, opts);
-    engine.init_from_table(in0, n);
+    engine.init_from_table(std::move(in0), n);
     if (warm != nullptr) engine.warm_start(*warm);
     if (frontier_seeds != nullptr) engine.enable_frontier(*frontier_seeds);
-    return run_levels(comm, engine, n, opts, busy);
+    ParResult result = run_levels(comm, engine, n, opts, busy);
+    engine.return_level0_table(in0);
+    return result;
   };
 
   const auto publish = [&](std::uint64_t seq, const ParResult& r, bool incremental) {

@@ -4,7 +4,9 @@
 // pair of 32-bit ids (In_Table: (source vertex, owned vertex); Out_Table:
 // (owned vertex, neighbor community)), with insert-or-accumulate semantics
 // and linear probing (Algorithms 3 and 5). In_Table is rebuilt wholesale
-// per level, so fast clear() and dense sequential scans stay first-class.
+// per level, so fast reset() and dense sequential scans stay first-class;
+// reset() sizes a table for its new contents, so a scan never walks
+// capacity left over from a larger past.
 //
 // Out_Table is additionally maintained *incrementally*: when a vertex
 // moves community, its in-neighbors' entries are patched with a
@@ -49,7 +51,7 @@ class EdgeTable {
   explicit EdgeTable(std::size_t expected_entries = 0, double max_load = 0.25,
                      HashKind hash = HashKind::kFibonacci)
       : hash_(hash), max_load_(clamp_load(max_load)) {
-    reserve(expected_entries);
+    reset(expected_entries);
   }
 
   /// Inserts `key` with weight `w`, or adds `w` to the existing entry,
@@ -153,10 +155,20 @@ class EdgeTable {
     size_ = 0;
   }
 
-  /// Ensures capacity for `expected_entries` at the configured load factor.
-  void reserve(std::size_t expected_entries) {
+  /// Empties the table and sizes it for `expected_entries` at the
+  /// configured load factor, shrinking as readily as growing: afterwards
+  /// the capacity is exactly what `expected_entries` needs, whatever the
+  /// table held before. A table already at that capacity is cleared in
+  /// place; otherwise the old slots are freed before the new ones are
+  /// allocated, so a resize never holds two slot arrays at once.
+  void reset(std::size_t expected_entries) {
     const std::size_t needed = required_capacity(expected_entries);
-    if (needed > slots_.size()) rehash(needed);
+    if (needed == slots_.size()) {
+      clear();
+      return;
+    }
+    std::vector<Slot>().swap(slots_);
+    allocate(needed);
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
@@ -241,14 +253,21 @@ class EdgeTable {
   void rehash(std::size_t new_capacity) {
     assert(is_pow2(new_capacity));
     std::vector<Slot> old = std::move(slots_);
-    slots_.assign(new_capacity, Slot{});
-    mask_ = new_capacity - 1;
-    max_entries_ = static_cast<std::size_t>(max_load_ * static_cast<double>(new_capacity));
-    if (max_entries_ == 0) max_entries_ = 1;
-    size_ = 0;
+    allocate(new_capacity);
     for (const Slot& slot : old) {
       if (slot.key != kEmptyKey) place(slot);
     }
+  }
+
+  /// Installs `capacity` empty slots (0 or a power of two) into an
+  /// already released slot array.
+  void allocate(std::size_t capacity) {
+    assert(slots_.empty() && (capacity == 0 || is_pow2(capacity)));
+    slots_.assign(capacity, Slot{});
+    mask_ = capacity == 0 ? 0 : capacity - 1;
+    max_entries_ = static_cast<std::size_t>(max_load_ * static_cast<double>(capacity));
+    if (capacity > 0 && max_entries_ == 0) max_entries_ = 1;
+    size_ = 0;
   }
 
   /// Reinserts a fully-formed slot during rehash (preserves the

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "common/random.hpp"
 
@@ -94,6 +96,107 @@ TEST(EdgeTable, MatchesReferenceMapUnderRandomWorkload) {
   for (const auto& [key, w] : ref) {
     ASSERT_TRUE(t.find(key).has_value());
     EXPECT_DOUBLE_EQ(t.find(key).value(), w);
+  }
+}
+
+// reset(expected): empty, capacity exactly what `expected` needs whatever
+// the table held before, cleared in place when it already has that size.
+TEST(EdgeTableReset, ShrinksToWhatExpectedNeeds) {
+  EdgeTable t(100000);
+  for (std::uint64_t i = 1; i <= 50000; ++i) t.insert_or_add(i, 1.0);
+  const std::size_t big = t.capacity();
+  t.reset(100);
+  EXPECT_TRUE(t.empty());
+  EXPECT_EQ(t.capacity(), EdgeTable(100).capacity());
+  EXPECT_LT(t.capacity(), big);
+  EXPECT_FALSE(t.contains(7));
+  t.reset(0);
+  EXPECT_TRUE(t.empty());
+  EXPECT_EQ(t.capacity(), 0u);
+  EXPECT_FALSE(t.contains(7));
+}
+
+TEST(EdgeTableReset, GrowsAndReusesAFittingCapacityInPlace) {
+  EdgeTable t(10);
+  t.reset(5000);
+  EXPECT_EQ(t.capacity(), EdgeTable(5000).capacity());
+  for (std::uint64_t i = 1; i <= 5000; ++i) t.insert_or_add(i, 1.0);
+  const std::size_t cap = t.capacity();
+  t.reset(5000);
+  EXPECT_TRUE(t.empty());
+  EXPECT_EQ(t.capacity(), cap);
+  for (std::uint64_t i = 1; i <= 5000; ++i) ASSERT_FALSE(t.contains(i)) << i;
+}
+
+// Capacity, hence layout and scan order, depends on `expected` alone: two
+// tables with different histories scan the same inserts identically.
+TEST(EdgeTableReset, ScanOrderIgnoresHistory) {
+  EdgeTable grown(0, 0.25);
+  for (std::uint64_t i = 1; i <= 40000; ++i) grown.insert_or_add(i * 3, 1.0);
+  EdgeTable fresh(0, 0.25);
+  grown.reset(700);
+  fresh.reset(700);
+  ASSERT_EQ(grown.capacity(), fresh.capacity());
+  Xoshiro256 rng(5);
+  for (int i = 0; i < 700; ++i) {
+    const std::uint64_t key = pack_key(static_cast<vid_t>(rng.next_below(90)),
+                                       static_cast<vid_t>(rng.next_below(90)));
+    grown.insert_or_add(key, 1.0);
+    fresh.insert_or_add(key, 1.0);
+  }
+  std::vector<std::uint64_t> a;
+  std::vector<std::uint64_t> b;
+  grown.for_each([&](std::uint64_t key, weight_t) { a.push_back(key); });
+  fresh.for_each([&](std::uint64_t key, weight_t) { b.push_back(key); });
+  EXPECT_EQ(a, b);
+}
+
+TEST(EdgeTableReset, InsertRetractAndGrowStillWork) {
+  for (const double max_load : {0.25, 0.5}) {
+    EdgeTable t(1 << 16, max_load);
+    for (std::uint64_t i = 1; i <= 1000; ++i) t.insert_or_add(i, 1.0);
+    const std::size_t expected = 300;
+    t.reset(expected);
+    const std::size_t cap = t.capacity();
+    std::map<std::uint64_t, std::pair<weight_t, int>> ref;  // weight, contributions
+    Xoshiro256 rng(41);
+    // Up to `expected` distinct keys: no growth, load within max_load.
+    for (int i = 0; i < 2000; ++i) {
+      const std::uint64_t key = 1 + rng.next_below(expected);
+      t.insert_or_add(key, 2.0);
+      ref[key].first += 2.0;
+      ++ref[key].second;
+    }
+    EXPECT_EQ(t.capacity(), cap);
+    EXPECT_LE(t.load_factor(), max_load);
+    // Retract every contribution of every third key: backward-shift erase.
+    for (auto& [key, wc] : ref) {
+      if (key % 3 != 0) continue;
+      while (wc.second > 0) {
+        t.retract(key, 2.0);
+        wc.first -= 2.0;
+        --wc.second;
+      }
+    }
+    // Past `expected`: the table grows and keeps the load bound.
+    for (std::uint64_t key = 10000; key < 12000; ++key) {
+      t.insert_or_add(key, 1.0);
+      ref[key] = {1.0, 1};
+      ASSERT_LE(t.load_factor(), max_load) << key;
+    }
+    EXPECT_GT(t.capacity(), cap);
+    std::size_t live = 0;
+    for (const auto& [key, wc] : ref) {
+      if (wc.second == 0) {
+        EXPECT_FALSE(t.contains(key)) << key;
+        continue;
+      }
+      ++live;
+      ASSERT_TRUE(t.find(key).has_value()) << key;
+      EXPECT_DOUBLE_EQ(t.find(key).value(), wc.first);
+      EXPECT_EQ(t.contributions(key), static_cast<std::uint32_t>(wc.second));
+    }
+    EXPECT_EQ(t.size(), live);
   }
 }
 

@@ -33,7 +33,7 @@ TEST(FlatMap, FindOnEmptyMapIsNull) {
 TEST(FlatMap, EraseBackwardShiftsProbeChains) {
   FlatMap<int> m;
   // Grow to a known capacity, then hammer keys into overlapping chains.
-  m.reserve(64);
+  m.reset(64);
   const std::size_t cap = m.capacity();
   for (vid_t k = 0; k < 48; ++k) m.ref(k) = static_cast<int>(k) * 3;
   EXPECT_EQ(m.capacity(), cap);  // no rehash mid-test
@@ -57,6 +57,69 @@ TEST(FlatMap, ClearKeepsCapacity) {
   EXPECT_EQ(m.size(), 0u);
   EXPECT_EQ(m.capacity(), cap);
   EXPECT_FALSE(m.contains(50));
+}
+
+// reset(expected): empty, capacity exactly what `expected` needs whatever
+// the map held before, cleared in place when it already has that size.
+TEST(FlatMapReset, ShrinksToWhatExpectedNeeds) {
+  FlatMap<int> m(50000);
+  for (vid_t k = 1; k <= 40000; ++k) m.ref(k) = 1;
+  const std::size_t big = m.capacity();
+  m.reset(100);
+  EXPECT_TRUE(m.empty());
+  EXPECT_EQ(m.capacity(), FlatMap<int>(100).capacity());
+  EXPECT_LT(m.capacity(), big);
+  EXPECT_FALSE(m.contains(7));
+  m.reset(0);
+  EXPECT_TRUE(m.empty());
+  EXPECT_EQ(m.capacity(), 0u);
+  EXPECT_EQ(m.find(7), nullptr);
+}
+
+TEST(FlatMapReset, GrowsAndReusesAFittingCapacityInPlace) {
+  FlatMap<int> m(10);
+  m.reset(3000);
+  EXPECT_EQ(m.capacity(), FlatMap<int>(3000).capacity());
+  for (vid_t k = 1; k <= 3000; ++k) m.ref(k) = 1;
+  const std::size_t cap = m.capacity();
+  m.reset(3000);
+  EXPECT_TRUE(m.empty());
+  EXPECT_EQ(m.capacity(), cap);
+  for (vid_t k = 1; k <= 3000; ++k) ASSERT_FALSE(m.contains(k)) << k;
+}
+
+TEST(FlatMapReset, InsertEraseAndGrowStillWork) {
+  FlatMap<int> m(1 << 15);
+  for (vid_t k = 1; k <= 1000; ++k) m.ref(k) = 1;
+  const std::size_t expected = 200;
+  m.reset(expected);
+  const std::size_t cap = m.capacity();
+  std::unordered_map<vid_t, int> ref;
+  Xoshiro256 rng(77);
+  // Up to `expected` distinct keys: no growth, load within 1/2.
+  for (int i = 0; i < 3000; ++i) {
+    const auto key = static_cast<vid_t>(1 + rng.next_below(expected));
+    if (rng.next_below(4) == 0) {
+      EXPECT_EQ(m.erase(key), ref.erase(key) > 0);
+    } else {
+      m.ref(key) += 1;
+      ref[key] += 1;
+    }
+  }
+  EXPECT_EQ(m.capacity(), cap);
+  EXPECT_LE(2 * m.size(), m.capacity());
+  // Past `expected`: the map grows and keeps the load bound.
+  for (vid_t key = 5000; key < 6000; ++key) {
+    m.ref(key) = 9;
+    ref[key] = 9;
+    ASSERT_LE(2 * m.size(), m.capacity()) << key;
+  }
+  EXPECT_GT(m.capacity(), cap);
+  EXPECT_EQ(m.size(), ref.size());
+  for (const auto& [key, v] : ref) {
+    ASSERT_NE(m.find(key), nullptr) << key;
+    EXPECT_EQ(*m.find(key), v);
+  }
 }
 
 TEST(FlatMap, ForEachVisitsEveryEntryOnce) {

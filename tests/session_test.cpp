@@ -19,6 +19,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -242,6 +245,50 @@ TEST(Session, EdgeDeletionsShrinkCommunities) {
   EXPECT_NE(snap->community_of(0), snap->community_of(3));
 }
 
+// Each detection pass borrows the resident In_Table by move and must hand
+// it back on every return path. An incremental apply that leaves only
+// zero-weight edges takes run_levels' weightless exit; the next apply
+// patches the table in place, so a table left with the engine would be
+// patched as a moved-from shell.
+TEST(Session, WeightlessApplyHandsTheResidentTableBack) {
+  pml::ScopedTransportEnv park;
+  graph::EdgeList triangles;
+  triangles.add(0, 1);
+  triangles.add(1, 2);
+  triangles.add(0, 2);
+  triangles.add(3, 4);
+  triangles.add(4, 5);
+  triangles.add(3, 5);
+  graph::EdgeList e = triangles;
+  for (vid_t v = 0; v < 3; ++v) {  // zero-weight bridges keep the batches small
+    e.add(v, v + 3, 0.0);
+    e.add(v, (v + 1) % 3 + 3, 0.0);
+  }
+  auto opts = session_opts(2, core::StreamingPlan::fast());
+  opts.streaming.max_delta_fraction = 1.0;  // both batches stay incremental
+  Session session(GraphSource::from_edges(e, 6), opts);
+
+  EdgeDelta strip;
+  strip.removals = triangles;
+  const auto weightless = session.apply(strip);
+  EXPECT_TRUE(weightless->incremental);
+  EXPECT_EQ(weightless->modularity, 0.0);
+
+  EdgeDelta restore;
+  restore.inserts = triangles;
+  const auto snap = session.apply(restore);
+  EXPECT_TRUE(snap->incremental);
+  EXPECT_EQ(snap->community_of(0), snap->community_of(2));
+  EXPECT_EQ(snap->community_of(3), snap->community_of(5));
+  EXPECT_NE(snap->community_of(0), snap->community_of(3));
+  graph::EdgeList mirror = e;
+  apply_edge_delta(mirror, strip);
+  apply_edge_delta(mirror, restore);
+  EXPECT_NEAR(snap->modularity, metrics::modularity(graph::Csr::from_edges(mirror, 6),
+                                                    snap->labels),
+              1e-9);
+}
+
 TEST(Session, ConcurrentReadersSeeMonotoneEpochsDuringApplies) {
   pml::ScopedTransportEnv park;
   const auto g = gen::lfr({.n = 400, .mu = 0.3, .seed = 109});
@@ -362,6 +409,116 @@ TEST(ApplyEdgeDelta, MissingRemovalRollsBackEarlierRemovals) {
   EXPECT_THROW((void)apply_edge_delta(edges, delta), std::invalid_argument);
   ASSERT_EQ(edges.size(), before.size());
   EXPECT_EQ(std::memcmp(edges.edges().data(), before.data(), before.size() * sizeof(Edge)), 0);
+}
+
+/// Reference for apply_edge_delta's removal semantics: one list scan per
+/// removal, erasing the first match, with an undo log that restores the
+/// list when a removal finds no record.
+vid_t apply_edge_delta_sequential(graph::EdgeList& edges, const EdgeDelta& delta) {
+  auto& recs = edges.edges();
+  std::vector<std::pair<std::size_t, Edge>> erased;
+  for (const Edge& r : delta.removals) {
+    const auto hit = std::find_if(recs.begin(), recs.end(), [&](const Edge& e) {
+      const bool same_pair = (e.u == r.u && e.v == r.v) || (e.u == r.v && e.v == r.u);
+      return same_pair && e.w == r.w;
+    });
+    if (hit == recs.end()) {
+      for (auto it = erased.rbegin(); it != erased.rend(); ++it) {
+        recs.insert(recs.begin() + static_cast<std::ptrdiff_t>(it->first), it->second);
+      }
+      throw std::invalid_argument(
+          "apply_edge_delta: removal (" + std::to_string(r.u) + ", " +
+          std::to_string(r.v) + ", w=" + std::to_string(r.w) +
+          ") names no existing edge record");
+    }
+    erased.emplace_back(static_cast<std::size_t>(hit - recs.begin()), *hit);
+    recs.erase(hit);
+  }
+  for (const Edge& e : delta.inserts) edges.add(e.u, e.v, e.w);
+  return std::max(edges.vertex_count(), delta.n_vertices);
+}
+
+bool same_bytes(const graph::EdgeList& a, const graph::EdgeList& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.edges().data(), b.edges().data(), a.size() * sizeof(Edge)) == 0;
+}
+
+// Random small lists over few vertices and weights, so parallel records,
+// reversed records, repeated removals and missing removals all occur;
+// +0.0/-0.0 and NaN weights pin the `==` match. The one-pass matcher must
+// reproduce the reference byte for byte: list, vertex count, and the
+// error message of the first failing removal.
+TEST(ApplyEdgeDelta, OnePassMatchesSequentialReferenceOnRandomBatches) {
+  Xoshiro256 rng(20261017);
+  const std::vector<weight_t> weights = {1.0, 2.0, 0.5, 0.0, -0.0,
+                                         std::numeric_limits<double>::quiet_NaN()};
+  const auto pick_weight = [&] {
+    // NaN is rare: a batch naming it always fails.
+    const std::uint64_t r = rng.next_below(100);
+    return r == 0 ? weights[5] : weights[r % 5];
+  };
+  int applied = 0;
+  int rejected = 0;
+  for (int round = 0; round < 2000; ++round) {
+    const auto n = static_cast<vid_t>(2 + rng.next_below(6));
+    graph::EdgeList base;
+    const std::size_t m = rng.next_below(30);
+    for (std::size_t i = 0; i < m; ++i) {
+      base.add(static_cast<vid_t>(rng.next_below(n)), static_cast<vid_t>(rng.next_below(n)),
+               pick_weight());
+    }
+    EdgeDelta delta;
+    const std::size_t k = rng.next_below(12);
+    for (std::size_t i = 0; i < k; ++i) {
+      if (!base.empty() && rng.next_below(8) != 0) {
+        // An existing record, often reversed, sometimes named twice.
+        const Edge e = base.edges()[rng.next_below(base.size())];
+        const int copies = rng.next_below(4) == 0 ? 2 : 1;
+        for (int c = 0; c < copies; ++c) {
+          if (rng.next_below(2) == 0) {
+            delta.removals.add(e.v, e.u, e.w);
+          } else {
+            delta.removals.add(e.u, e.v, e.w);
+          }
+        }
+      } else {
+        // Probably missing: a fresh pair over a wider id range.
+        delta.removals.add(static_cast<vid_t>(rng.next_below(n + 2)),
+                           static_cast<vid_t>(rng.next_below(n + 2)), pick_weight());
+      }
+    }
+    if (rng.next_below(2) == 0) delta.inserts.add(0, n, 1.0);
+    delta.n_vertices = static_cast<vid_t>(rng.next_below(n + 4));
+
+    graph::EdgeList expected = base;
+    graph::EdgeList actual = base;
+    std::string expected_error;
+    std::string actual_error;
+    vid_t expected_n = 0;
+    vid_t actual_n = 0;
+    try {
+      expected_n = apply_edge_delta_sequential(expected, delta);
+    } catch (const std::invalid_argument& e) {
+      expected_error = e.what();
+    }
+    try {
+      actual_n = apply_edge_delta(actual, delta);
+    } catch (const std::invalid_argument& e) {
+      actual_error = e.what();
+    }
+    ASSERT_EQ(actual_error, expected_error) << "round " << round;
+    ASSERT_TRUE(same_bytes(actual, expected)) << "round " << round;
+    ASSERT_EQ(actual_n, expected_n) << "round " << round;
+    if (expected_error.empty()) {
+      ++applied;
+    } else {
+      ASSERT_TRUE(same_bytes(actual, base)) << "round " << round;
+      ++rejected;
+    }
+  }
+  // Both outcomes must be well represented for the comparison to mean much.
+  EXPECT_GT(applied, 400);
+  EXPECT_GT(rejected, 400);
 }
 
 TEST(Session, ApplyAfterCloseThrows) {
