@@ -182,6 +182,20 @@ int cmd_detect(const plv::Cli& cli) {
   plv::WallTimer t;
   std::vector<plv::vid_t> labels;
   std::unique_ptr<plv::core::Hierarchy> hierarchy;
+  // One row per level, with the reason its refine loop stopped.
+  plv::TextTable level_table({"level", "vertices", "communities", "iterations", "Q", "stop"});
+  const auto add_levels = [&level_table](const plv::LouvainResult& r) {
+    for (std::size_t i = 0; i < r.levels.size(); ++i) {
+      const plv::LouvainLevel& level = r.levels[i];
+      level_table.row()
+          .add(i)
+          .add(level.num_vertices)
+          .add(level.num_communities)
+          .add(level.trace.iterations)
+          .add(level.modularity, 6)
+          .add(plv::level_stop_name(level.trace.stop));
+    }
+  };
   bool quiet = false;
   if (engine == "seq") {
     plv::seq::SeqOptions opts;
@@ -189,6 +203,7 @@ int cmd_detect(const plv::Cli& cli) {
     const auto r = plv::seq::louvain(g, opts);
     labels = r.final_labels;
     hierarchy = std::make_unique<plv::core::Hierarchy>(r);
+    add_levels(r);
   } else if (engine == "lp") {
     labels = plv::seq::label_propagation(g).labels;
   } else if (engine == "par") {
@@ -205,6 +220,7 @@ int cmd_detect(const plv::Cli& cli) {
     quiet = is_silent_rank(opts);
     if (!quiet) std::cout << "transport    " << r.transport << '\n';
     hierarchy = std::make_unique<plv::core::Hierarchy>(r);
+    add_levels(r);
   } else {
     std::cerr << "unknown --engine " << engine << '\n';
     return 2;
@@ -222,7 +238,10 @@ int cmd_detect(const plv::Cli& cli) {
               << "coverage     " << plv::metrics::coverage(g, labels) << '\n'
               << "mean phi     " << plv::metrics::conductance(g, labels).mean
               << '\n';
-    if (hierarchy) std::cout << "levels       " << hierarchy->num_levels() << '\n';
+    if (hierarchy) {
+      std::cout << "levels       " << hierarchy->num_levels() << '\n';
+      level_table.print();
+    }
   }
 
   if (cli.has("out")) {

@@ -28,11 +28,36 @@ namespace core {
 struct ParOptions;  // core/options.hpp
 }
 
+/// Why a level's inner refine loop ended.
+enum class LevelStop {
+  kNoPositiveGain,  // no vertex on any rank had a positive join gain
+  kNoMoves,         // some gain was positive, but no vertex moved
+  kStagnation,      // the stagnation window filled
+  kIterationCap,    // max_inner_iterations ran out
+};
+
+[[nodiscard]] constexpr const char* level_stop_name(LevelStop stop) noexcept {
+  switch (stop) {
+    case LevelStop::kNoPositiveGain:
+      return "no-positive-gain";
+    case LevelStop::kNoMoves:
+      return "no-moves";
+    case LevelStop::kStagnation:
+      return "stagnation";
+    case LevelStop::kIterationCap:
+      return "iteration-cap";
+  }
+  return "?";
+}
+
 /// Per-inner-iteration telemetry of one hierarchy level. `moved_fraction`
 /// is the fraction of the level's vertices that changed community in that
 /// iteration — the quantity the paper's Fig. 2 plots against iteration
-/// number to motivate the exponential threshold.
+/// number to motivate the exponential threshold. `stop` is always set;
+/// the per-iteration vectors only under record_trace.
 struct LevelTrace {
+  LevelStop stop{LevelStop::kIterationCap};
+  int iterations{0};  // inner iterations the level ran
   std::vector<double> moved_fraction;
   std::vector<double> modularity;  // after each inner iteration
   // Sequential-engine extra (only filled when SeqOptions::prune is on):

@@ -345,6 +345,7 @@ class RankEngine {
     self_loop_.assign(local_n, 0.0);
     label_.resize(local_n);
     best_.assign(local_n, kInvalidVid);
+    left_.assign(local_n, kInvalidVid);
     gain_.assign(local_n, 0.0);
     stay_score_.assign(local_n, 0.0);
     for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- level setup, runs once per level
@@ -751,7 +752,7 @@ class RankEngine {
         const vid_t cu = label_[l];
         for (const RowEntry& row : rows_[l]) {
           const vid_t c = row.c;
-          if (c == cu) continue;
+          if (c == cu || c == left_[l]) continue;
           const SigmaRep* target = sigma_cache_.find(c);
           assert(target != nullptr);
           if (target->members == 1 && sigma_cache_.find(cu)->members == 1 && c > cu) {
@@ -789,13 +790,17 @@ class RankEngine {
       // lookup and score compare, the scan's dominant cost — is skipped.
       // best_[l] stays at label_[l] from init_stay_scores, so its gain is 0.
       if (restricted_ && active_[l] == 0) return;
+      // No move straight back: the community this vertex left in the
+      // previous iteration is not a candidate (DESIGN.md decision 3).
+      if (c == left_[l]) return;
       const SigmaRep* target = sigma_cache_.find(c);
       assert(target != nullptr);
       // Singleton-swap guard (Lu et al. [11], cited by the paper): when a
       // lone vertex considers joining another singleton community, only
       // the smaller-labeled side may move. Without it, synchronous
-      // updates let pairs of singletons swap communities forever — the
-      // oscillation Section III warns about.
+      // updates let pairs of singletons swap communities within one
+      // iteration — the oscillation Section III warns about. The left_
+      // skip above covers the rest: it stops any vertex's return trip.
       if (target->members == 1 && sigma_cache_.find(cu)->members == 1 && c > cu) return;
       const double score =
           w - gamma * target->sigma_tot * strength_[l] / two_m_;
@@ -906,10 +911,15 @@ class RankEngine {
     if (cutoff >= 0.0) {
       const vid_t local_n = static_cast<vid_t>(label_.size());
       for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- gain_ is dense; pruned vertices hold gain 0 and fall to the first branch
-        if (gain_[l] <= 0.0 || gain_[l] < cutoff) continue;
         const vid_t from = label_[l];
         const vid_t to = best_[l];
-        if (from == to) continue;
+        // left_ names the community each vertex left in *this* iteration,
+        // which the next FIND may not offer it.
+        if (gain_[l] <= 0.0 || gain_[l] < cutoff || from == to) {
+          left_[l] = kInvalidVid;
+          continue;
+        }
+        left_[l] = from;
         label_[l] = to;
         moves_.push_back(Move{l, from, to});
         ref_sub(from);
@@ -995,8 +1005,16 @@ class RankEngine {
     return std::max(plan.q_tolerance, scaled);
   }
 
+  /// Runs the level's inner loop and returns the Q of the labels it ends
+  /// on. Two rules keep synchronous moves from settling into period-2
+  /// limit cycles (DESIGN.md decision 3): FIND never offers a vertex the
+  /// community it left the iteration before (left_), and an iteration
+  /// counts as stagnant unless it beats the level's best Q so far by the
+  /// tolerance — a cycle's alternating Q never fills a window measured
+  /// against the previous iteration.
   double refine(LouvainLevel& level, double q_initial) {
     double prev_q = q_initial;
+    double best_q = q_initial;
     int stagnant = 0;
     level_moves_ = 0;
     const double level_tol = level_tolerance();
@@ -1090,6 +1108,7 @@ class RankEngine {
             return IterStats{a.q + b.q, a.prop_sent + b.prop_sent, a.scanned + b.scanned};
           });
       const double q = stats.q;
+      level.trace.iterations = iter;
 
       if (opts_.record_trace) {
         level.trace.moved_fraction.push_back(static_cast<double>(moved.moves) /
@@ -1108,9 +1127,17 @@ class RankEngine {
       // window of them (all ranks see the same global q/moves, so the
       // decision is uniform). Under threshold scaling the window tests the
       // level's scaled tolerance instead of the final one.
-      stagnant = q - prev_q < level_tol ? stagnant + 1 : 0;
+      stagnant = q - best_q < level_tol ? stagnant + 1 : 0;
+      best_q = std::max(best_q, q);
       prev_q = q;  // report the Q of the labels we actually hold
-      if (moved.moves == 0 || stagnant >= opts_.refine.stagnation_window) break;
+      if (moved.moves == 0) {
+        level.trace.stop = cutoff < 0.0 ? LevelStop::kNoPositiveGain : LevelStop::kNoMoves;
+        break;
+      }
+      if (stagnant >= opts_.refine.stagnation_window) {
+        level.trace.stop = LevelStop::kStagnation;
+        break;
+      }
     }
     return prev_q;
   }
@@ -1202,6 +1229,7 @@ class RankEngine {
   std::vector<weight_t> self_loop_;
   std::vector<vid_t> label_;
   std::vector<vid_t> best_;
+  std::vector<vid_t> left_;  // community left in the previous iteration, or kInvalidVid
   std::vector<double> gain_;
   std::vector<double> stay_score_;
 

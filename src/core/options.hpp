@@ -102,8 +102,11 @@ enum class ThresholdModel {
 /// ParOptions (ParOptions::refine).
 struct RefinePlan {
   // Convergence. The inner loop stops on zero moves or after
-  // `stagnation_window` consecutive iterations with < q_tolerance
-  // improvement (one stagnant low-ε iteration is normal, not convergence).
+  // `stagnation_window` consecutive iterations that each fail to beat the
+  // level's best Q so far by q_tolerance (one stagnant low-ε iteration is
+  // normal, not convergence). Measuring against the best Q, not the
+  // previous iteration's, is what ends a limit cycle whose Q alternates
+  // between two values (DESIGN.md decision 3).
   double q_tolerance{1e-6};
   int max_inner_iterations{64};
   int max_levels{32};

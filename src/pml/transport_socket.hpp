@@ -118,6 +118,15 @@ struct PeerFailure {
   std::string detail;
 };
 
+/// Names the cause of a failed recv (`err` is its errno). A peer that
+/// dies with unread bytes in its socket makes the kernel send RST instead
+/// of FIN, so ECONNRESET is the same dead-peer event as EOF and gets the
+/// same "connection closed" diagnosis, with the errno text as detail.
+[[nodiscard]] inline std::string recv_failure_cause(int err) {
+  if (err == ECONNRESET) return "connection closed (" + plv::errno_str(err) + ")";
+  return "recv failed: " + plv::errno_str(err);
+}
+
 /// Decodes a waitpid() status into diagnosable text: exit codes stay
 /// numeric, signals are named (WTERMSIG + strsignal), and a core dump is
 /// noted — so a fault-injection failure reads "killed by signal 9
@@ -432,7 +441,8 @@ class SocketFrameTransport final : public Transport {
 
   /// Describes exactly where peer r's stream tore, so a truncated frame
   /// is diagnosable instead of a bare "peer failed". `cause` is the
-  /// transport-level event ("connection closed", "recv failed: ...").
+  /// transport-level event ("connection closed", "recv failed: ...", see
+  /// recv_failure_cause).
   [[nodiscard]] std::string truncation_detail(int r, const std::string& cause) const {
     const PeerRx& rx = rx_[static_cast<std::size_t>(r)];
     std::string detail = cause;
@@ -490,7 +500,7 @@ class SocketFrameTransport final : public Transport {
         if (k == 0) return close_peer(r, "connection closed");
         if (errno == EAGAIN || errno == EWOULDBLOCK) return;
         if (errno == EINTR) continue;
-        return close_peer(r, std::string("recv failed: ") + plv::errno_str(errno));
+        return close_peer(r, recv_failure_cause(errno));
       }
       // Payload streaming.
       std::byte* dst = rx.chunk != nullptr ? rx.chunk->raw() : rx.collective.data();
@@ -505,7 +515,7 @@ class SocketFrameTransport final : public Transport {
       if (k == 0) return close_peer(r, "connection closed");
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       if (errno == EINTR) continue;
-      return close_peer(r, std::string("recv failed: ") + plv::errno_str(errno));
+      return close_peer(r, recv_failure_cause(errno));
     }
   }
 

@@ -175,7 +175,7 @@ void tune_socket(int fd, int timeout_ms) {
       return false;
     }
     if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-    err = std::string("recv failed: ") + plv::errno_str(errno);
+    err = detail::recv_failure_cause(errno);
     return false;
   }
   return true;

@@ -53,6 +53,7 @@ LouvainLevel refine_level(const graph::Csr& g, const SeqOptions& opts) {
   if (n == 0 || two_m <= 0) {
     level.labels = state.labels;
     level.num_communities = n;
+    level.trace.stop = LevelStop::kNoMoves;
     return level;
   }
 
@@ -133,6 +134,7 @@ LouvainLevel refine_level(const graph::Csr& g, const SeqOptions& opts) {
     }
 
     const double q = state.modularity(two_m, opts.resolution);
+    level.trace.iterations = iter + 1;
     if (opts.record_trace) {
       level.trace.moved_fraction.push_back(static_cast<double>(moves) /
                                            static_cast<double>(n));
@@ -142,9 +144,16 @@ LouvainLevel refine_level(const graph::Csr& g, const SeqOptions& opts) {
                                                  static_cast<double>(n));
       }
     }
-    const bool converged = moves == 0 || q - prev_q < opts.q_tolerance;
+    const bool stagnant = q - prev_q < opts.q_tolerance;
     prev_q = q;
-    if (converged) break;
+    if (moves == 0) {
+      level.trace.stop = LevelStop::kNoMoves;
+      break;
+    }
+    if (stagnant) {
+      level.trace.stop = LevelStop::kStagnation;
+      break;
+    }
   }
 
   level.labels = std::move(state.labels);

@@ -199,6 +199,66 @@ TEST(ParLouvain, WeightedGraphModularityConsistent) {
   EXPECT_NE(r.final_labels[0], r.final_labels[3]);
 }
 
+graph::EdgeList two_disjoint_triangles() {
+  graph::EdgeList e;
+  e.add(0, 1);
+  e.add(1, 2);
+  e.add(0, 2);
+  e.add(3, 4);
+  e.add(4, 5);
+  e.add(3, 5);
+  return e;
+}
+
+TEST(ParLouvainStop, DisjointTrianglesStopWithNoPositiveGain) {
+  // Once each triangle is one community no vertex anywhere gains by
+  // moving, and the second level has no edge between its two vertices.
+  const ParResult r =
+      plv::louvain(GraphSource::from_edges(two_disjoint_triangles(), 6), opts_with(2));
+  ASSERT_FALSE(r.levels.empty());
+  for (const LouvainLevel& level : r.levels) {
+    EXPECT_EQ(level.trace.stop, LevelStop::kNoPositiveGain) << level_stop_name(level.trace.stop);
+    EXPECT_GE(level.trace.iterations, 1);
+  }
+  EXPECT_EQ(r.final_labels[0], r.final_labels[2]);
+  EXPECT_NE(r.final_labels[0], r.final_labels[3]);
+}
+
+TEST(ParLouvainStop, OneIterationBudgetStopsAtTheCap) {
+  const auto graph = gen::lfr({.n = 500, .mu = 0.3, .seed = 31});
+  ParOptions opts = opts_with(2);
+  opts.refine.max_inner_iterations = 1;
+  opts.record_trace = false;  // the stop reason and count are kept regardless
+  const ParResult r = plv::louvain(GraphSource::from_edges(graph.edges, 500), opts);
+  ASSERT_FALSE(r.levels.empty());
+  EXPECT_TRUE(r.levels.front().trace.modularity.empty());
+  EXPECT_EQ(r.levels.front().trace.stop, LevelStop::kIterationCap);
+  EXPECT_EQ(r.levels.front().trace.iterations, 1);
+}
+
+TEST(ParLouvainStop, UnreachableToleranceStopsOnStagnation) {
+  const auto graph = gen::lfr({.n = 500, .mu = 0.3, .seed = 31});
+  ParOptions opts = opts_with(2);
+  opts.refine.q_tolerance = 1.0;  // no iteration can gain a whole unit of Q
+  const ParResult r = plv::louvain(GraphSource::from_edges(graph.edges, 500), opts);
+  ASSERT_FALSE(r.levels.empty());
+  EXPECT_EQ(r.levels.front().trace.stop, LevelStop::kStagnation);
+  EXPECT_EQ(r.levels.front().trace.iterations, opts.refine.stagnation_window);
+}
+
+TEST(ParLouvainStop, GainFloorAboveEveryGainStopsWithNoMoves) {
+  // Threshold scaling floors the cutoff at tolerance / n_level = 1/500,
+  // far above any single vertex's gain here: gains are positive, but none
+  // clears the floor.
+  const auto graph = gen::lfr({.n = 500, .mu = 0.3, .seed = 31});
+  ParOptions opts = opts_with(2);
+  opts.refine.initial_tolerance = 1.0;
+  const ParResult r = plv::louvain(GraphSource::from_edges(graph.edges, 500), opts);
+  ASSERT_FALSE(r.levels.empty());
+  EXPECT_EQ(r.levels.front().trace.stop, LevelStop::kNoMoves);
+  EXPECT_EQ(r.levels.front().trace.iterations, 1);
+}
+
 TEST(ThresholdModelTest, EpsilonShapes) {
   // Decay model decreases with iteration.
   double prev = 2.0;

@@ -108,6 +108,40 @@ TEST(SeqLouvain, EmptyAndTrivialGraphs) {
   EXPECT_EQ(r2.final_labels[0], r2.final_labels[1]);
 }
 
+TEST(SeqLouvain, DisjointTrianglesStopWithNoMoves) {
+  graph::EdgeList e;
+  e.add(0, 1);
+  e.add(1, 2);
+  e.add(0, 2);
+  e.add(3, 4);
+  e.add(4, 5);
+  e.add(3, 5);
+  const LouvainResult result = louvain(graph::Csr::from_edges(e, 6));
+  ASSERT_FALSE(result.levels.empty());
+  EXPECT_EQ(result.levels.front().trace.stop, LevelStop::kNoMoves);
+  EXPECT_EQ(result.levels.front().trace.iterations, 2);  // one sweep moves, one confirms
+}
+
+TEST(SeqLouvain, OneSweepBudgetStopsAtTheCap) {
+  const auto lfr_graph = gen::lfr({.n = 500, .mu = 0.3, .seed = 31});
+  SeqOptions opts;
+  opts.max_inner_iterations = 1;
+  const LouvainResult result = louvain(graph::Csr::from_edges(lfr_graph.edges, 500), opts);
+  ASSERT_FALSE(result.levels.empty());
+  EXPECT_EQ(result.levels.front().trace.stop, LevelStop::kIterationCap);
+  EXPECT_EQ(result.levels.front().trace.iterations, 1);
+}
+
+TEST(SeqLouvain, TinyImprovementStopsOnStagnation) {
+  const auto lfr_graph = gen::lfr({.n = 500, .mu = 0.3, .seed = 31});
+  SeqOptions opts;
+  opts.q_tolerance = 1.0;  // no sweep can gain a whole unit of Q
+  const LouvainResult result = louvain(graph::Csr::from_edges(lfr_graph.edges, 500), opts);
+  ASSERT_FALSE(result.levels.empty());
+  EXPECT_EQ(result.levels.front().trace.stop, LevelStop::kStagnation);
+  EXPECT_EQ(result.levels.front().trace.iterations, 1);
+}
+
 TEST(SeqLouvain, IsolatedVerticesStaySingletons) {
   graph::EdgeList e;
   e.add(0, 1);

@@ -133,21 +133,21 @@ void expect_golden(const Result& r, const Golden& expected, const char* what) {
 
 // Level entries: {labels, iterations, trace.modularity, trace.gain_cutoff,
 // trace.prop_records}. The cadence changes only the propagation volume.
-const Golden kCold{0x1.1151fa41668eep-1, 0x06bc4175b5fe7183ULL, {
-  {0x117797b4f63f7073ULL, 64, 0xb42874f7e47b5275ULL, 0xbd6bfcc8329e321eULL, 0x55f4b1a7aa094597ULL},
-  {0x29d208e470549f08ULL, 14, 0x010c9e0867100758ULL, 0x11bedeecc8792472ULL, 0x9bc627b5352221d5ULL}},
-  466878, 1032};
-const Golden kWarm{0x1.126d38ec12cdep-1, 0x4ed3d38afbd8aba2ULL, {
-  {0x4ed3d38afbd8aba2ULL, 2, 0x47b45efbd14dd725ULL, 0x85ca50b95f03c1d8ULL, 0x31b8b7ed6772821bULL}},
-  40397, 104};
-const Golden kRebuildEveryIteration{0x1.1151fa41668eep-1, 0x06bc4175b5fe7183ULL, {
-  {0x117797b4f63f7073ULL, 64, 0xb42874f7e47b5275ULL, 0xbd6bfcc8329e321eULL, 0xc862f84df76847a5ULL},
-  {0x29d208e470549f08ULL, 14, 0x010c9e0867100758ULL, 0x11bedeecc8792472ULL, 0x6dcc638c3aa8c315ULL}},
-  2163308, 1032};
-const Golden kNeverRebuild{0x1.1151fa41668eep-1, 0x06bc4175b5fe7183ULL, {
-  {0x117797b4f63f7073ULL, 64, 0xb42874f7e47b5275ULL, 0xbd6bfcc8329e321eULL, 0x3bb4965847b0adcfULL},
-  {0x29d208e470549f08ULL, 14, 0x010c9e0867100758ULL, 0x11bedeecc8792472ULL, 0x9bc627b5352221d5ULL}},
-  438307, 1032};
+const Golden kCold{0x1.111d6ffb5f1fcp-1, 0x835473f2500c8cefULL, {
+  {0x71af80c3f0d2d667ULL, 59, 0x2c00fd70a64dee85ULL, 0x5a3ce1e89355b802ULL, 0xa19ca2c1cb6ab81cULL},
+  {0x14817b52eddd1d8cULL, 16, 0x5613b1fb75e58780ULL, 0x03bd9a3956dbd121ULL, 0xa678aa6ee46919a0ULL}},
+  438324, 992};
+const Golden kWarm{0x1.126d38ec12cdep-1, 0x0d920ca36c448549ULL, {
+  {0x0d920ca36c448549ULL, 3, 0x126faf72be91a464ULL, 0x820830d7006998f8ULL, 0xd5238384793e82bdULL}},
+  40591, 116};
+const Golden kRebuildEveryIteration{0x1.111d6ffb5f1fcp-1, 0x835473f2500c8cefULL, {
+  {0x71af80c3f0d2d667ULL, 59, 0x2c00fd70a64dee85ULL, 0x5a3ce1e89355b802ULL, 0xe330a7af3c280444ULL},
+  {0x14817b52eddd1d8cULL, 16, 0x5613b1fb75e58780ULL, 0x03bd9a3956dbd121ULL, 0xfe8d6cc06752d225ULL}},
+  2027094, 992};
+const Golden kNeverRebuild{0x1.111d6ffb5f1fcp-1, 0x835473f2500c8cefULL, {
+  {0x71af80c3f0d2d667ULL, 59, 0x2c00fd70a64dee85ULL, 0x5a3ce1e89355b802ULL, 0x05a1ba6662c184aeULL},
+  {0x14817b52eddd1d8cULL, 16, 0x5613b1fb75e58780ULL, 0x03bd9a3956dbd121ULL, 0xa678aa6ee46919a0ULL}},
+  380106, 992};
 
 TEST_P(OverlapEquivalence, ColdStartIsBitIdentical) {
   const auto r = louvain(GraphSource::from_edges(lfr_input()), opts_for(GetParam()));

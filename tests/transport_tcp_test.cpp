@@ -53,22 +53,39 @@ using namespace std::chrono_literals;
   return false;
 }
 
-/// Reserves a free loopback port by binding :0 and reading the assignment
-/// back. The port is released before use (tiny reuse race, acceptable in
-/// tests: make_listener sets SO_REUSEADDR).
-[[nodiscard]] std::uint16_t pick_free_port() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  socklen_t len = sizeof(addr);
-  EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-  ::close(fd);
-  return ntohs(addr.sin_port);
-}
+/// A free loopback port, reserved while the object lives. The socket
+/// stays bound with SO_REUSEADDR and never listens, so no other process's
+/// bind(:0) or connect() is handed the port before the transport listens
+/// on it; the transport's listener also sets SO_REUSEADDR and shares the
+/// port. (A port released right after it was read back could be handed
+/// to a concurrent test process in that window.)
+class ReservedPort {
+ public:
+  ReservedPort() : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    EXPECT_GE(fd_, 0);
+    const int one = 1;
+    EXPECT_EQ(::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one)), 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = 0;
+    EXPECT_EQ(::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    socklen_t len = sizeof(addr);
+    EXPECT_EQ(::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+    port_ = ntohs(addr.sin_port);
+  }
+  ~ReservedPort() { ::close(fd_); }
+  ReservedPort(const ReservedPort&) = delete;
+  ReservedPort& operator=(const ReservedPort&) = delete;
+
+  [[nodiscard]] std::string endpoint() const {
+    return "127.0.0.1:" + std::to_string(port_);
+  }
+
+ private:
+  int fd_;
+  std::uint16_t port_{0};
+};
 
 // ---------------------------------------------------------------------------
 // Host list and option plumbing.
@@ -260,6 +277,26 @@ TEST(TcpTornStream, EofWithoutGoodbyeIsAFailure) {
       << failure->detail;
 }
 
+TEST(TcpTornStream, ResetWithoutGoodbyeIsAClosedConnection) {
+  // A peer that dies with unread bytes in its socket resets the stream:
+  // the survivor's recv fails with ECONNRESET instead of returning EOF.
+  // Both are the same dead peer and must get the same diagnosis.
+  int sv[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  const char byte = 0;
+  ASSERT_EQ(::send(sv[1], &byte, 1, 0), 1);  // queued at the peer, never read
+  ::close(sv[0]);
+  detail::SocketFrameTransport transport("tcp", 0, 2, {-1, sv[1]}, {"", "10.0.0.9:7001"});
+  transport.wait_incoming();
+  EXPECT_TRUE(transport.aborted());
+  const auto* failure = transport.peer_failure();
+  ASSERT_NE(failure, nullptr);
+  EXPECT_EQ(failure->rank, 1);
+  EXPECT_NE(failure->detail.find("connection closed"), std::string::npos) << failure->detail;
+  EXPECT_NE(failure->detail.find("between frames, without goodbye"), std::string::npos)
+      << failure->detail;
+}
+
 TEST(TcpTornStream, GoodbyeThenEofIsCleanShutdown) {
   auto lane = make_lane();
   detail::FrameHeader h{};
@@ -306,9 +343,9 @@ TEST(TcpFaultInjection, KilledRankUnwindsFleetNamingItsEndpoint) {
 
 TEST(TcpFaultInjection, SingleRankModeReportsDeadPeerEndpoint) {
   PLV_SKIP_IF_UNSUPPORTED(TransportKind::kTcp);
-  const std::vector<std::string> hosts = {
-      "127.0.0.1:" + std::to_string(pick_free_port()),
-      "127.0.0.1:" + std::to_string(pick_free_port())};
+  const ReservedPort port0;
+  const ReservedPort port1;
+  const std::vector<std::string> hosts = {port0.endpoint(), port1.endpoint()};
   // Rank 1 lives in a forked process (fork *before* the async thread) and
   // kills itself after the first barrier.
   std::fflush(nullptr);
@@ -360,9 +397,9 @@ TEST(TcpFaultInjection, SingleRankModeReportsDeadPeerEndpoint) {
 }
 
 TEST(TcpFaultInjection, ListenerNeverComesUpTimesOutPromptly) {
-  const std::vector<std::string> hosts = {
-      "127.0.0.1:" + std::to_string(pick_free_port()),  // never bound
-      "127.0.0.1:" + std::to_string(pick_free_port())};
+  const ReservedPort port0;  // reserved, but nothing ever listens on it
+  const ReservedPort port1;
+  const std::vector<std::string> hosts = {port0.endpoint(), port1.endpoint()};
   auto fut = std::async(std::launch::async, [&hosts] {
     TcpOptions opt;
     opt.hosts = hosts;
@@ -386,9 +423,9 @@ TEST(TcpFaultInjection, ListenerNeverComesUpTimesOutPromptly) {
 /// listener, sends the forged handshake, and returns what rank 0 threw.
 void expect_handshake_rejection(const detail::TcpHandshake& forged,
                                 const std::string& expected_text) {
-  const std::vector<std::string> hosts = {
-      "127.0.0.1:" + std::to_string(pick_free_port()),
-      "127.0.0.1:" + std::to_string(pick_free_port())};
+  const ReservedPort port0;
+  const ReservedPort port1;
+  const std::vector<std::string> hosts = {port0.endpoint(), port1.endpoint()};
   auto fut = std::async(std::launch::async, [&hosts] {
     TcpOptions opt;
     opt.hosts = hosts;
