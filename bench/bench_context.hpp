@@ -50,17 +50,12 @@ namespace plv::bench {
   const bool validating = validation_active();
   const auto kind = pml::resolve_transport(pml::TransportKind::kThread);
   benchmark::AddCustomContext("transport", pml::transport_kind_name(kind));
-  // Topology axis: single-tier backends run flat collectives; a hybrid
-  // binary runs the resolved group shape (PLV_RANKS_PER_PROC), unless the
-  // A/B baseline forces flat collectives over the composed substrate.
-  // Benches that pin an explicit HybridOptions fleet (micro_pml's hier
-  // A/B) label their variants in the benchmark name instead.
+  // The topology stamp: a hybrid binary records its resolved group shape
+  // (PLV_RANKS_PER_PROC thread ranks per forked process); every other
+  // backend stamps "flat".
   std::string topology = "flat";
   if (kind == pml::TransportKind::kHybrid) {
-    const auto hybrid = pml::resolve_hybrid_options({});
-    topology = hybrid.flat_collectives
-                   ? "flat-collectives"
-                   : "groups-of-" + std::to_string(hybrid.ranks_per_proc);
+    topology = "groups-of-" + std::to_string(pml::resolve_hybrid_options({}).ranks_per_proc);
   }
   benchmark::AddCustomContext("topology", topology);
   benchmark::AddCustomContext("validation", validating ? "on" : "off");

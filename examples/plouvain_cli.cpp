@@ -5,9 +5,6 @@
 //   plouvain_cli stats  --graph g.txt
 //   plouvain_cli detect --graph g.txt [--engine par|seq|lp] [--ranks N]
 //                       [--resolution G] [--out communities.txt] [--tree t.txt]
-//   plouvain_cli bfs    --graph g.txt --root R [--ranks N]
-//   plouvain_cli cc     --graph g.txt [--ranks N]
-//   plouvain_cli sssp   --graph g.txt --root R [--ranks N]
 //
 // Run with no arguments for usage.
 #include <fstream>
@@ -17,11 +14,8 @@
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
-#include "core/bfs.hpp"
-#include "core/components.hpp"
 #include "core/hierarchy.hpp"
 #include "core/louvain_par.hpp"
-#include "core/sssp.hpp"
 #include "gen/bter.hpp"
 #include "gen/er.hpp"
 #include "gen/lfr.hpp"
@@ -54,11 +48,6 @@ int usage() {
       "         [--heuristics] [--hosts host:port,...] [--rank R]\n"
       "         [--ranks-per-proc N] [--validate] [--out FILE]\n"
       "         [--tree FILE] [--warm FILE]\n"
-      "  bfs    --graph FILE --root R [--ranks N]\n"
-      "         [--transport thread|proc|tcp|hybrid]\n"
-      "  cc     --graph FILE [--ranks N] [--transport thread|proc|tcp|hybrid]\n"
-      "  sssp   --graph FILE --root R [--ranks N]\n"
-      "         [--transport thread|proc|tcp|hybrid]\n"
       "Multi-host tcp: run the same command on every host with the same\n"
       "--hosts list (one host:port per rank, entry index = rank) and that\n"
       "host's --rank R; each invocation is one rank of the fleet. With\n"
@@ -67,9 +56,9 @@ int usage() {
       "the detect metrics in a multi-host run.\n"
       "Hybrid transport: --transport hybrid nests thread ranks inside\n"
       "forked processes (--ranks-per-proc N consecutive ranks per process,\n"
-      "default 2) and runs the collectives hierarchically over the\n"
-      "two-tier topology; --transport proc is the same launcher at one\n"
-      "rank per process.\n"
+      "default 2); every rank talks to every other over the same socket\n"
+      "mesh and flat collectives. --transport proc is the same launcher\n"
+      "at one rank per process.\n"
       "The PLV_TRANSPORT environment variable overrides --transport,\n"
       "PLV_HOSTS/PLV_RANK override --hosts/--rank, PLV_RANKS_PER_PROC\n"
       "overrides --ranks-per-proc, and PLV_VALIDATE (or PLV_PARANOID)\n"
@@ -254,31 +243,6 @@ int cmd_detect(const plv::Cli& cli) {
   return 0;
 }
 
-int cmd_bfs(const plv::Cli& cli) {
-  const auto edges = load(cli);
-  const auto root = static_cast<plv::vid_t>(cli.get_int("root", 0));
-  const auto r = plv::core::bfs_parallel(edges, 0, root, par_opts(cli));
-  std::cout << "reached " << r.reached << " vertices in " << r.rounds << " rounds, "
-            << r.edges_traversed << " edges traversed\n";
-  return 0;
-}
-
-int cmd_cc(const plv::Cli& cli) {
-  const auto edges = load(cli);
-  const auto r = plv::core::connected_components_parallel(edges, 0, par_opts(cli));
-  std::cout << r.num_components << " components in " << r.rounds << " rounds\n";
-  return 0;
-}
-
-int cmd_sssp(const plv::Cli& cli) {
-  const auto edges = load(cli);
-  const auto root = static_cast<plv::vid_t>(cli.get_int("root", 0));
-  const auto r = plv::core::sssp_parallel(edges, 0, root, par_opts(cli));
-  std::cout << "reached " << r.reached << " vertices, " << r.relaxations
-            << " relaxations in " << r.rounds << " rounds\n";
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -289,9 +253,6 @@ int main(int argc, char** argv) {
     if (command == "gen") return cmd_gen(cli);
     if (command == "stats") return cmd_stats(cli);
     if (command == "detect") return cmd_detect(cli);
-    if (command == "bfs") return cmd_bfs(cli);
-    if (command == "cc") return cmd_cc(cli);
-    if (command == "sssp") return cmd_sssp(cli);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;

@@ -149,6 +149,20 @@ struct EdgeDelta {
   }
 };
 
+/// Rejects the weights modularity cannot carry: negative, NaN and
+/// infinite ones (zero stays legal). Throws std::invalid_argument naming
+/// `who` and the first such edge; the front doors call it on the
+/// caller's thread, before any rank starts.
+inline void require_valid_weights(const graph::EdgeList& edges, const char* who) {
+  for (const Edge& e : edges) {
+    if (std::isfinite(e.w) && e.w >= 0.0) continue;
+    throw std::invalid_argument(std::string(who) + ": edge (" + std::to_string(e.u) + ", " +
+                                std::to_string(e.v) + ") has weight " +
+                                std::to_string(e.w) +
+                                "; weights must be finite and non-negative");
+  }
+}
+
 /// Applies `delta` to `edges` in place (removals first, then inserts,
 /// both in batch order — deterministic, so every rank of a fleet that
 /// applies the same batch holds byte-identical replicas). Returns the
@@ -413,7 +427,8 @@ class GraphSource {
 };
 
 /// The library front door: one call for cold, warm, and streamed parallel
-/// community detection. Validates `opts`, resolves the transport
+/// community detection. Validates `opts` and the edge weights of a
+/// materialized input (require_valid_weights), resolves the transport
 /// (ParOptions::transport, overridable via PLV_TRANSPORT), runs the
 /// engine on opts.nranks ranks, and returns the full artifact — labels,
 /// per-level modularity/traffic, phase timers, and the transport that

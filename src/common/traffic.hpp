@@ -17,10 +17,10 @@ struct TrafficStats {
   std::uint64_t bytes_sent{0};
   std::uint64_t chunks_sent{0};
   std::uint64_t collectives{0};
-  /// Messages that crossed a topology-group boundary (with the trivial
-  /// topology: every remote message; per collective, one per rank outside
-  /// the group). The locality metric the hierarchical collectives cut —
-  /// inter-group lanes are the expensive tier of a composed transport.
+  /// Messages addressed to another rank: every fine-grained chunk or
+  /// marker sent to a peer, plus nranks - 1 per collective. The name
+  /// predates the flat-only protocol (every rank is its own group); it
+  /// stays because perfbench reads the field.
   std::uint64_t inter_group_messages{0};
 
   TrafficStats& operator+=(const TrafficStats& o) noexcept {

@@ -1852,7 +1852,9 @@ Result louvain(const GraphSource& graph, const core::ParOptions& opts) {
   if (graph.edges() == nullptr) {
     throw std::invalid_argument("louvain: GraphSource carries no edges and no stream");
   }
+  require_valid_weights(*graph.edges(), "louvain");
   if (graph.delta() != nullptr) {
+    require_valid_weights(graph.delta()->inserts, "louvain");
     // The cold-baseline view of a streamed update: materialize the updated
     // list, then run cold on it — what Session::apply must match under the
     // deterministic streaming plan.

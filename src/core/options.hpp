@@ -308,20 +308,17 @@ struct ParOptions {
     return tcp;
   }
 
-  // Hybrid composed-transport shape (kHybrid only; see pml::HybridOptions):
+  // Hybrid transport shape (kHybrid only; see pml::HybridOptions):
   // consecutive blocks of `ranks_per_proc` ranks share one forked process
-  // as threads, and Comm runs the two-level hierarchical collectives over
-  // that topology. 0 = auto (PLV_RANKS_PER_PROC, else 2). flat_collectives
-  // keeps the composed substrate but publishes the trivial topology — the
-  // flat-protocol A/B baseline (PLV_FLAT_COLLECTIVES=1 overrides).
+  // as threads. 0 = auto (PLV_RANKS_PER_PROC, else 2). A deployment
+  // setting only: every shape runs the same flat protocol and gives
+  // bit-identical results.
   int ranks_per_proc{0};
-  bool flat_collectives{false};
 
-  /// The pml launch options the configured hybrid knobs describe.
+  /// The pml launch options the configured hybrid knob describes.
   [[nodiscard]] pml::HybridOptions hybrid_options() const {
     pml::HybridOptions hybrid;
     hybrid.ranks_per_proc = ranks_per_proc;
-    hybrid.flat_collectives = flat_collectives;
     return hybrid;
   }
 
@@ -478,7 +475,7 @@ struct ParOptions {
            std::to_string(static_cast<int>(transport)) +
            " (valid: kThread, kProc, kTcp, kHybrid)");
     }
-    // Hybrid topology shape: catch an inconsistent fleet here, on the
+    // Hybrid group shape: catch an inconsistent fleet here, on the
     // caller, instead of mid-fork inside the launcher.
     if (ranks_per_proc < 0) {
       fail("ranks_per_proc must be >= 1 (or 0 for auto), got " +
@@ -488,12 +485,7 @@ struct ParOptions {
       if (ranks_per_proc != 0) {
         fail("ranks_per_proc is set (" + std::to_string(ranks_per_proc) +
              ") but transport is not kHybrid; the group shape only applies to "
-             "the hybrid composed backend");
-      }
-      if (flat_collectives) {
-        fail("flat_collectives is set but transport is not kHybrid; the other "
-             "backends publish the trivial topology and run the flat "
-             "collectives already");
+             "the hybrid backend");
       }
     } else if (ranks_per_proc != 0 && nranks % ranks_per_proc != 0) {
       fail("ranks_per_proc " + std::to_string(ranks_per_proc) +

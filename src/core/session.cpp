@@ -38,6 +38,8 @@ Session::Session(const GraphSource& source, const core::ParOptions& opts) {
     if (source.edges() == nullptr) {
       throw std::invalid_argument("Session: GraphSource carries no edges and no stream");
     }
+    require_valid_weights(*source.edges(), "Session");
+    if (source.delta() != nullptr) require_valid_weights(source.delta()->inserts, "Session");
     shared_->init_edges = *source.edges();  // owned replica from here on
     if (source.delta() != nullptr) {
       shared_->init_n =
@@ -105,6 +107,9 @@ std::shared_ptr<const LabelSnapshot> Session::wait_for_epoch(std::uint64_t seq) 
 std::shared_ptr<const LabelSnapshot> Session::apply(const EdgeDelta& batch) {
   plv::MutexLock serialize(apply_mu_);
   if (closed_) throw std::logic_error("Session: apply() after close()");
+  // Rejected here, before the fleet sees the batch, so the session stays
+  // exactly as it was.
+  require_valid_weights(batch.inserts, "Session::apply");
   const std::uint64_t seq = submitted_ + 1;
   {
     plv::MutexLock lock(shared_->mu);

@@ -9,9 +9,10 @@
 // controls the frontier and the cold-rebuild cadence); snapshot() hands
 // out immutable epoch-stamped partitions that readers keep for as long
 // as they like, without ever blocking an in-flight apply. A batch that
-// removes an edge the graph does not hold is rejected whole: apply()
-// throws std::invalid_argument, the fleet stays up, and the next valid
-// batch publishes the next epoch with no gap.
+// removes an edge the graph does not hold, or inserts a negative, NaN or
+// infinite weight, is rejected whole: apply() throws
+// std::invalid_argument, the fleet stays up, and the next valid batch
+// publishes the next epoch with no gap.
 //
 // How the fleet stays warm: every pml transport runs rank 0 inside the
 // calling process (threads trivially; proc/tcp/hybrid fork only ranks
@@ -109,8 +110,9 @@ class Session {
   /// into fleet-resident state.
   ///
   /// Requirements checked here: StreamingPlan::frontier needs the cyclic
-  /// partition (block ownership shifts with the vertex count), and a
-  /// multi-host TCP fleet can only be driven from its rank-0 process.
+  /// partition (block ownership shifts with the vertex count), a
+  /// multi-host TCP fleet can only be driven from its rank-0 process, and
+  /// edge weights must be finite and non-negative.
   Session(const GraphSource& source, const core::ParOptions& opts);
 
   /// Shuts the fleet down (close()) if still running.
@@ -121,9 +123,10 @@ class Session {
 
   /// Applies one batch of edge updates and blocks until the new epoch is
   /// published, returning its snapshot. A batch with a removal that names
-  /// no existing edge record is rejected whole: apply throws
-  /// std::invalid_argument, the graph and the served snapshot stay as
-  /// they were, and the next valid batch publishes the previous epoch + 1.
+  /// no existing edge record, or an insert whose weight is negative, NaN
+  /// or infinite, is rejected whole: apply throws std::invalid_argument,
+  /// the graph and the served snapshot stay as they were, and the next
+  /// valid batch publishes the previous epoch + 1.
   /// Any other failure kills the fleet: apply rethrows it, and after that
   /// only close() remains useful.
   std::shared_ptr<const LabelSnapshot> apply(const EdgeDelta& batch);

@@ -1,5 +1,8 @@
 #include "graph/io.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -15,6 +18,15 @@ constexpr std::uint64_t kBinaryMagic = 0x504c564745444745ULL;  // "PLVGEDGE"
   throw std::runtime_error(what + ": " + path);
 }
 
+/// Whole-token parse into `out`: a token with trailing junk ("1x"), a
+/// sign an unsigned id cannot hold ("-1") or an out-of-range value fails.
+template <typename T>
+[[nodiscard]] bool parse_token(const std::string& token, T& out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
 }  // namespace
 
 EdgeList load_edge_list_text(const std::string& path) {
@@ -22,17 +34,27 @@ EdgeList load_edge_list_text(const std::string& path) {
   if (!in) fail("cannot open edge list", path);
   EdgeList edges;
   std::string line;
+  std::string u_tok, v_tok, w_tok;
   std::size_t lineno = 0;
+  const auto reject = [&](const std::string& what) {
+    fail(what + " at line " + std::to_string(lineno), path);
+  };
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty() || line[0] == '#' || line[0] == '%') continue;
     std::istringstream ls(line);
     std::uint64_t u = 0, v = 0;
-    double w = 1.0;
-    if (!(ls >> u >> v)) {
-      fail("malformed edge at line " + std::to_string(lineno), path);
+    if (!(ls >> u_tok >> v_tok) || !parse_token(u_tok, u) || !parse_token(v_tok, v)) {
+      reject("malformed edge (vertex ids are non-negative integers)");
     }
-    ls >> w;  // optional
+    if (u >= kInvalidVid || v >= kInvalidVid) {
+      reject("vertex id " + std::to_string(std::max(u, v)) + " out of range (ids must be below " +
+             std::to_string(kInvalidVid) + ")");
+    }
+    double w = 1.0;  // optional third column; anything after it is ignored
+    if (ls >> w_tok && (!parse_token(w_tok, w) || !std::isfinite(w))) {
+      reject("weight '" + w_tok + "' is not a finite number");
+    }
     edges.add(static_cast<vid_t>(u), static_cast<vid_t>(v), w);
   }
   return edges;

@@ -94,18 +94,12 @@ class Aggregator {
     comm_.send_filled(dest, chunk, bytes / sizeof(T));
   }
 
-  /// Sends every non-empty buffer. Must be called before the phase's
-  /// quiescence drain.
-  void flush_all() {
-    for (int d = 0; d < comm_.nranks(); ++d) flush(d);
-  }
-
   /// Ends the phase toward every destination in a single message each:
   /// the last buffered chunk ships as a fused data+marker
   /// (send_filled_final), and destinations with nothing buffered get a
-  /// pure marker — so the subsequent drain_streaming_finalized needs no
-  /// marker wave of its own. Nothing may be pushed after this until the
-  /// phase completes.
+  /// pure marker. Must be called before the phase's
+  /// drain_streaming_finalized; nothing may be pushed after this until
+  /// the phase completes.
   void flush_all_final() {
     for (int d = 0; d < comm_.nranks(); ++d) {
       Slot& s = slots_[static_cast<std::size_t>(d)];

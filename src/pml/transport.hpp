@@ -14,6 +14,13 @@
 //     Everything crosses Unix-domain stream sockets as length-prefixed
 //     frames; collectives are serialized and recombined in rank order so
 //     results stay bit-identical with the thread backend.
+//   The tcp backend (transport_tcp.cpp) — rank = process on a TCP mesh
+//     across hosts, carrying the same socket frames.
+//
+// Every backend carries the same flat protocol: each collective is one
+// rank-order alltoallv over all ranks, and each fine-grained phase ends
+// with one marker per (source, destination) lane. Thread ranks sharing a
+// process still talk to each other through the seam like any two ranks.
 //
 // Contract highlights every backend must honor:
 //   * alltoallv() is synchronizing and delivers peer payloads to the sink
@@ -31,10 +38,7 @@
 //     AbortedError instead of waiting on a dead peer.
 #pragma once
 
-#include <algorithm>
-#include <cassert>
 #include <cstddef>
-#include <cstdint>
 #include <cstdlib>
 #include <span>
 #include <stdexcept>
@@ -46,69 +50,7 @@ namespace plv::pml {
 
 class Chunk;  // mailbox.hpp
 
-/// Locality description of a rank fleet: ranks are partitioned into
-/// groups of consecutive global ranks, one group per locality tier
-/// instance (thread ranks inside a process, processes on a host). Each
-/// group's *leader* is its lowest global rank — leader election is
-/// deterministic and needs no communication. Because groups are
-/// consecutive-rank blocks, ordering by (group, rank_in_group) IS global
-/// rank order: hierarchical combines that walk groups ascending and
-/// members ascending reproduce the flat rank-order combine bit for bit.
-struct Topology {
-  int nranks{1};
-  int ngroups{1};
-  int group{0};          ///< this rank's group index
-  int rank_in_group{0};  ///< this rank's position inside its group
-  int group_size{1};     ///< size of this rank's own group
-  int leader{0};         ///< global rank of this rank's group leader
-  /// Global rank of each group's leader, ascending (leaders[g] is also
-  /// the first rank of group g, since groups are consecutive blocks).
-  std::vector<int> leaders{0};
-
-  [[nodiscard]] bool is_leader() const noexcept { return rank_in_group == 0; }
-  /// Every rank its own group: the flat fallback where hierarchical
-  /// collectives degenerate to the plain ones.
-  [[nodiscard]] bool trivial() const noexcept { return ngroups == nranks; }
-
-  [[nodiscard]] int group_of(int r) const {
-    assert(r >= 0 && r < nranks);
-    const auto it = std::upper_bound(leaders.begin(), leaders.end(), r);
-    return static_cast<int>(it - leaders.begin()) - 1;
-  }
-  [[nodiscard]] int group_begin(int g) const { return leaders[static_cast<std::size_t>(g)]; }
-  [[nodiscard]] int group_count(int g) const {
-    const int end = g + 1 < ngroups ? leaders[static_cast<std::size_t>(g) + 1] : nranks;
-    return end - leaders[static_cast<std::size_t>(g)];
-  }
-
-  /// The trivial topology over n ranks (singleton groups).
-  [[nodiscard]] static Topology flat(int n) {
-    Topology t;
-    t.nranks = n;
-    t.ngroups = n;
-    t.leaders.resize(static_cast<std::size_t>(n));
-    for (int r = 0; r < n; ++r) t.leaders[static_cast<std::size_t>(r)] = r;
-    return t;
-  }
-
-  /// Consecutive blocks of `ranks_per_group` (the last group may be
-  /// ragged), described from rank `self`'s point of view.
-  [[nodiscard]] static Topology blocks(int n, int ranks_per_group, int self) {
-    assert(ranks_per_group >= 1 && self >= 0 && self < n);
-    Topology t;
-    t.nranks = n;
-    t.ngroups = (n + ranks_per_group - 1) / ranks_per_group;
-    t.leaders.clear();
-    for (int g = 0; g < t.ngroups; ++g) t.leaders.push_back(g * ranks_per_group);
-    t.group = self / ranks_per_group;
-    t.rank_in_group = self % ranks_per_group;
-    t.leader = t.group * ranks_per_group;
-    t.group_size = t.group_count(t.group);
-    return t;
-  }
-};
-
-/// Thrown out of collectives and blocking polls on every surviving rank
+/// Thrown out of collectives and blocking waits on every surviving rank
 /// once a peer has failed. Rank bodies normally let it propagate; the
 /// Runtime swallows it and rethrows the originating rank's exception.
 struct AbortedError : std::runtime_error {
@@ -194,45 +136,6 @@ class Transport {
   /// Blocks until drain() would return something or the run is aborted.
   virtual void wait_incoming() = 0;
 
-  // -- Hierarchical plane (topology-aware backends override) --------------
-  /// The fleet's locality description. The default is the trivial
-  /// (flat) topology — every rank its own group — under which Comm keeps
-  /// using the flat collectives and quiescence protocol unchanged.
-  [[nodiscard]] virtual const Topology& topology() const {
-    if (static_cast<int>(flat_topology_.nranks) != nranks()) {
-      flat_topology_ = Topology::flat(nranks());
-    }
-    return flat_topology_;
-  }
-
-  /// Intra-group alltoallv over the shared-memory tier. `outgoing` has
-  /// topology().group_size entries indexed by rank-in-group; delivery is
-  /// ascending by *global* source rank, group members only. Synchronizes
-  /// the group. The flat default (singleton groups) is a self-delivery.
-  virtual void group_alltoallv(std::span<const std::span<const std::byte>> outgoing,
-                               CollectiveSink& sink) {
-    assert(outgoing.size() == 1);
-    sink.total_hint(outgoing[0].size());
-    sink.deliver(rank(), outgoing[0]);
-  }
-
-  /// Inter-group alltoallv among group leaders only. `outgoing` has
-  /// topology().ngroups entries indexed by group; delivery is ascending
-  /// by source *group index* (sink's `source` is a group index, not a
-  /// rank). Callable from leaders only. With the trivial topology the
-  /// group index IS the rank, so the flat default forwards to alltoallv.
-  virtual void leader_alltoallv(std::span<const std::span<const std::byte>> outgoing,
-                                CollectiveSink& sink) {
-    alltoallv(outgoing, sink);
-  }
-
-  /// Phase-boundary hook: Comm's hierarchical quiescence protocol closes
-  /// exchange epochs by counting (no per-lane markers), so it tells the
-  /// transport here when epoch `next_epoch` begins. Backends that track
-  /// per-lane epoch state (the ValidatingTransport checker) advance it;
-  /// everyone else ignores the call.
-  virtual void epoch_advance(std::uint64_t next_epoch) { (void)next_epoch; }
-
   // -- Abort plane --------------------------------------------------------
   virtual void raise_abort() noexcept = 0;
   [[nodiscard]] virtual bool aborted() const noexcept = 0;
@@ -244,12 +147,6 @@ class Transport {
   /// chunk ownership here and throws ProtocolError on a leak.
   virtual void trim_pool() = 0;
   [[nodiscard]] virtual std::size_t pool_free_count() const noexcept = 0;
-
- private:
-  /// Lazily-built cache backing the flat topology() default (mutable so
-  /// the const accessor can size it on first use; per-rank object, no
-  /// cross-thread access).
-  mutable Topology flat_topology_{};
 };
 
 /// Backend selector, settable per run (core::ParOptions::transport, CLI

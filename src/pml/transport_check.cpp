@@ -50,10 +50,6 @@ const char* protocol_violation_name(ProtocolViolation v) noexcept {
       return "collective-shape";
     case ProtocolViolation::kCollectiveOrder:
       return "collective-order";
-    case ProtocolViolation::kLeaderOnlyCollective:
-      return "leader-only-collective";
-    case ProtocolViolation::kHierarchicalMarker:
-      return "hierarchical-marker";
   }
   return "unknown";
 }
@@ -70,14 +66,14 @@ namespace detail {
 
 void check_quiescence_conservation(bool enforce, int rank, std::uint64_t epoch,
                                    std::uint64_t received, std::uint64_t expected,
-                                   const char* transport, bool streaming) {
+                                   const char* transport) {
   if (received == expected) return;
   if (enforce) {
     throw ProtocolError(
         ProtocolViolation::kQuiescenceMismatch, rank, /*peer=*/-1, epoch,
         "quiescence record-count mismatch: received " + std::to_string(received) +
             ", markers promised " + std::to_string(expected) + " (transport " +
-            transport + (streaming ? ", streaming drain)" : ")"));
+            transport + ")");
   }
   // Historical Debug behavior when validation is off: hard-stop here so the
   // failing phase is inspectable in a debugger. (Unreachable above when the
@@ -85,28 +81,12 @@ void check_quiescence_conservation(bool enforce, int rank, std::uint64_t epoch,
   assert(false && "pml: quiescence record-count mismatch (set PLV_VALIDATE=1 for a thrown ProtocolError)");
 }
 
-void check_source_quiescence_conservation(bool enforce, int rank, std::uint64_t epoch,
-                                          int source, std::uint64_t received,
-                                          std::uint64_t expected, const char* transport) {
-  if (received <= expected) return;
-  if (enforce) {
-    throw ProtocolError(
-        ProtocolViolation::kQuiescenceMismatch, rank, source, epoch,
-        "per-source quiescence mismatch: source " + std::to_string(source) +
-            " settled " + std::to_string(expected) + " records but " +
-            std::to_string(received) + " arrived (transport " + transport +
-            ", hierarchical settlement)");
-  }
-  assert(false && "pml: per-source quiescence over-delivery (set PLV_VALIDATE=1 for a thrown ProtocolError)");
-}
-
 }  // namespace detail
 
 ValidatingTransport::ValidatingTransport(Transport& inner)
     : inner_(inner),
       send_lanes_(static_cast<std::size_t>(inner.nranks())),
-      recv_lanes_(static_cast<std::size_t>(inner.nranks())),
-      hier_(!inner.topology().trivial()) {}
+      recv_lanes_(static_cast<std::size_t>(inner.nranks())) {}
 
 void ValidatingTransport::ensure_open(const char* op) const {
   if (closed_) {
@@ -127,35 +107,30 @@ void ValidatingTransport::barrier() {
   inner_.barrier();
 }
 
-void ValidatingTransport::run_ordered_collective(
-    std::span<const std::span<const std::byte>> outgoing, CollectiveSink& sink,
-    const char* plane, std::size_t expected_out, int first, int count,
-    void (Transport::*op)(std::span<const std::span<const std::byte>>,
-                          CollectiveSink&)) {
-  if (enforcing() && outgoing.size() != expected_out) {
+void ValidatingTransport::alltoallv(std::span<const std::span<const std::byte>> outgoing,
+                                    CollectiveSink& sink) {
+  ensure_open("alltoallv");
+  if (enforcing() && outgoing.size() != static_cast<std::size_t>(nranks())) {
     fail(ProtocolViolation::kCollectiveShape, /*peer=*/-1, /*epoch=*/0,
-         std::string(plane) + " called with " + std::to_string(outgoing.size()) +
-             " outgoing payloads, expected " + std::to_string(expected_out) +
-             " (exactly one per destination required)");
+         "alltoallv called with " + std::to_string(outgoing.size()) +
+             " outgoing payloads for " + std::to_string(nranks()) +
+             " ranks (exactly one per destination required)");
   }
   // Every delivery the backend makes is checked against the ordering
   // contract before the caller's sink sees it: exactly one payload per
-  // expected source, ascending — the determinism guarantee rank-order
-  // reductions build on, on every plane of the hierarchy.
+  // source rank, ascending — the determinism guarantee rank-order
+  // reductions build on.
   struct OrderSink final : CollectiveSink {
     const ValidatingTransport* self{nullptr};
     CollectiveSink* target{nullptr};
-    const char* plane{nullptr};
-    int first{0};
     int delivered{0};
     void total_hint(std::size_t bytes) override { target->total_hint(bytes); }
     void deliver(int source, std::span<const std::byte> bytes) override {
-      if (self->enforcing() && source != first + delivered) {
+      if (self->enforcing() && source != delivered) {
         self->fail(ProtocolViolation::kCollectiveOrder, source, /*epoch=*/0,
-                   std::string(plane) + " payload from source " +
-                       std::to_string(source) + " delivered out of order (expected "
-                                                "source " +
-                       std::to_string(first + delivered) + " next)");
+                   "alltoallv payload from source " + std::to_string(source) +
+                       " delivered out of order (expected source " +
+                       std::to_string(delivered) + " next)");
       }
       ++delivered;
       target->deliver(source, bytes);
@@ -163,60 +138,12 @@ void ValidatingTransport::run_ordered_collective(
   } order;
   order.self = this;
   order.target = &sink;
-  order.plane = plane;
-  order.first = first;
-  (inner_.*op)(outgoing, order);
-  if (enforcing() && order.delivered != count) {
+  inner_.alltoallv(outgoing, order);
+  if (enforcing() && order.delivered != nranks()) {
     fail(ProtocolViolation::kCollectiveOrder, /*peer=*/-1, /*epoch=*/0,
-         std::string(plane) + " completed after delivering " +
-             std::to_string(order.delivered) + " of " + std::to_string(count) +
-             " per-source payloads");
+         "alltoallv completed after delivering " + std::to_string(order.delivered) +
+             " of " + std::to_string(nranks()) + " per-source payloads");
   }
-}
-
-void ValidatingTransport::alltoallv(std::span<const std::span<const std::byte>> outgoing,
-                                    CollectiveSink& sink) {
-  ensure_open("alltoallv");
-  run_ordered_collective(outgoing, sink, "alltoallv",
-                         static_cast<std::size_t>(nranks()), /*first=*/0, nranks(),
-                         &Transport::alltoallv);
-}
-
-void ValidatingTransport::group_alltoallv(
-    std::span<const std::span<const std::byte>> outgoing, CollectiveSink& sink) {
-  ensure_open("group_alltoallv");
-  const Topology& t = inner_.topology();
-  run_ordered_collective(outgoing, sink, "group collective plane",
-                         static_cast<std::size_t>(t.group_size), /*first=*/t.leader,
-                         t.group_size, &Transport::group_alltoallv);
-}
-
-void ValidatingTransport::leader_alltoallv(
-    std::span<const std::span<const std::byte>> outgoing, CollectiveSink& sink) {
-  ensure_open("leader_alltoallv");
-  const Topology& t = inner_.topology();
-  if (enforcing() && !t.is_leader()) {
-    fail(ProtocolViolation::kLeaderOnlyCollective, /*peer=*/-1, /*epoch=*/0,
-         "leader_alltoallv called by rank " + std::to_string(rank()) + " (member " +
-             std::to_string(t.rank_in_group) + " of group " + std::to_string(t.group) +
-             "): the inter-group plane admits group leaders only");
-  }
-  // Sources on the leader plane are group indices 0..G-1, not ranks.
-  run_ordered_collective(outgoing, sink, "leader collective plane",
-                         static_cast<std::size_t>(t.ngroups), /*first=*/0, t.ngroups,
-                         &Transport::leader_alltoallv);
-}
-
-void ValidatingTransport::epoch_advance(std::uint64_t next_epoch) {
-  ensure_open("epoch_advance");
-  if (enforcing() && next_epoch != hier_epoch_ + 1) {
-    fail(ProtocolViolation::kEpochSkew, /*peer=*/-1, next_epoch,
-         "epoch_advance to " + std::to_string(next_epoch) +
-             " while the settlement clock is at epoch " + std::to_string(hier_epoch_) +
-             " (phases advance by exactly one)");
-  }
-  hier_epoch_ = next_epoch;
-  inner_.epoch_advance(next_epoch);
 }
 
 Chunk* ValidatingTransport::acquire_chunk(std::size_t reserve_bytes) {
@@ -292,24 +219,6 @@ ValidatingTransport::Verdict ValidatingTransport::check_lane_step(
   return {};
 }
 
-ValidatingTransport::Verdict ValidatingTransport::check_lane_step_hier(
-    bool is_control, std::uint64_t epoch, const char* direction) const {
-  if (is_control) {
-    return {false, ProtocolViolation::kHierarchicalMarker,
-            std::string(direction) + " final marker for epoch " + std::to_string(epoch) +
-                " on a hierarchical-topology run (phases close by the counted "
-                "settlement collective; per-lane markers must never mix with it)"};
-  }
-  if (epoch != hier_epoch_ && epoch != hier_epoch_ + 1) {
-    return {false, ProtocolViolation::kEpochSkew,
-            std::string(direction) + " data frame for epoch " + std::to_string(epoch) +
-                " while the settlement clock is at epoch " +
-                std::to_string(hier_epoch_) +
-                " (hierarchical phase skew is bounded by one epoch)"};
-  }
-  return {};
-}
-
 void ValidatingTransport::send(int dest, Chunk* chunk) {
   // Ownership transfers to the transport at the call, throw or not — so
   // every early exit below must dispose of the node first. A chunk we do
@@ -345,11 +254,9 @@ void ValidatingTransport::send(int dest, Chunk* chunk) {
            "outgoing chunk stamped with source " + std::to_string(source) +
                ", but this rank is " + std::to_string(rank()));
     }
-    Verdict v = hier_ ? check_lane_step_hier(chunk->control, epoch, "outgoing")
-                      : check_lane_step(send_lanes_[static_cast<std::size_t>(dest)],
-                                        /*relaxed=*/dest == rank(), chunk->control,
-                                        chunk->control_records, epoch, chunk->size(),
-                                        "outgoing");
+    Verdict v = check_lane_step(send_lanes_[static_cast<std::size_t>(dest)],
+                                /*relaxed=*/dest == rank(), chunk->control,
+                                chunk->control_records, epoch, chunk->size(), "outgoing");
     if (!v.ok) {
       dispose();
       fail(v.kind, dest, epoch, v.detail);
@@ -377,10 +284,8 @@ void ValidatingTransport::inspect_arrival(Chunk* chunk,
                " (fleet has " + std::to_string(nranks()) + " ranks)");
   }
   Lane& lane = recv_lanes_[static_cast<std::size_t>(source)];
-  Verdict v = hier_ ? check_lane_step_hier(chunk->control, epoch, "incoming")
-                    : check_lane_step(lane, /*relaxed=*/source == rank(),
-                                      chunk->control, chunk->control_records, epoch,
-                                      chunk->size(), "incoming");
+  Verdict v = check_lane_step(lane, /*relaxed=*/source == rank(), chunk->control,
+                              chunk->control_records, epoch, chunk->size(), "incoming");
   if (!v.ok) reject(v.kind, v.detail);
 }
 

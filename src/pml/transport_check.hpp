@@ -85,8 +85,6 @@ enum class ProtocolViolation {
   kChunkLeak,             ///< owned chunk neither sent nor released at a boundary
   kCollectiveShape,       ///< alltoallv called with a malformed outgoing vector
   kCollectiveOrder,       ///< sink deliveries not exactly rank 0..P-1 ascending
-  kLeaderOnlyCollective,  ///< leader_alltoallv called by a non-leader rank
-  kHierarchicalMarker,    ///< per-lane marker on a hierarchical-topology run
 };
 
 [[nodiscard]] const char* protocol_violation_name(ProtocolViolation v) noexcept;
@@ -141,24 +139,13 @@ namespace detail {
   return enabled;
 }
 
-/// The generalized quiescence record-count conservation check, shared by
-/// both of Comm's drain paths (this is the old PLV_PARANOID one-off,
-/// folded into the checker module). Throws ProtocolError when enforced;
-/// otherwise keeps the historical Debug assert.
+/// The typed quiescence record-count conservation check of Comm's drain
+/// (the old PLV_PARANOID one-off, folded into the checker module). Throws
+/// ProtocolError when enforced; otherwise keeps the historical Debug
+/// assert.
 void check_quiescence_conservation(bool enforce, int rank, std::uint64_t epoch,
                                    std::uint64_t received, std::uint64_t expected,
-                                   const char* transport, bool streaming);
-
-/// Per-source twin of check_quiescence_conservation for the hierarchical
-/// protocol: source `source` settled `expected` records toward this rank
-/// this phase, and `received` have arrived. Flags over-delivery during
-/// the drain and any mismatch at its end — the per-group contribution
-/// conservation check (totals matching can mask one source over- and
-/// another under-delivering). Throws ProtocolError (kQuiescenceMismatch,
-/// peer = source) when enforced; Debug assert otherwise.
-void check_source_quiescence_conservation(bool enforce, int rank, std::uint64_t epoch,
-                                          int source, std::uint64_t received,
-                                          std::uint64_t expected, const char* transport);
+                                   const char* transport);
 
 /// Open-addressed pointer->tag map for the chunk-ownership ledger
 /// (std::unordered_map is banned from src/pml by the repo lint pass, and
@@ -295,18 +282,6 @@ class ValidatingTransport final : public Transport {
   void alltoallv(std::span<const std::span<const std::byte>> outgoing,
                  CollectiveSink& sink) override;
 
-  // Hierarchical seam (transport.hpp): the checker is topology-transparent
-  // — it republishes the inner topology and enforces the two-level
-  // collective contract on top of it (group-plane shape and rank order,
-  // leaders-only participation on the inter-group plane, and the
-  // marker-free epoch discipline of the counted-settlement protocol).
-  [[nodiscard]] const Topology& topology() const override { return inner_.topology(); }
-  void group_alltoallv(std::span<const std::span<const std::byte>> outgoing,
-                       CollectiveSink& sink) override;
-  void leader_alltoallv(std::span<const std::span<const std::byte>> outgoing,
-                        CollectiveSink& sink) override;
-  void epoch_advance(std::uint64_t next_epoch) override;
-
   [[nodiscard]] Chunk* acquire_chunk(std::size_t reserve_bytes) override;
   void release_chunk(Chunk* chunk) override;
   void send(int dest, Chunk* chunk) override;
@@ -370,24 +345,6 @@ class ValidatingTransport final : public Transport {
   [[noreturn]] void fail(ProtocolViolation kind, int peer, std::uint64_t epoch,
                          const std::string& detail) const;
 
-  /// Hierarchical twin of check_lane_step: the counted-settlement protocol
-  /// carries no per-lane markers (a control frame is kHierarchicalMarker —
-  /// the two phase-closing mechanisms must never mix on one run), and lane
-  /// epochs are validated against the epoch_advance() clock instead of the
-  /// marker history (skew still bounded by one phase).
-  [[nodiscard]] Verdict check_lane_step_hier(bool is_control, std::uint64_t epoch,
-                                             const char* direction) const;
-
-  /// Shared delivery-order harness of the three collective planes: checks
-  /// exactly one delivery per expected source, ascending, sources drawn
-  /// from [first, first + count) (global ranks on the flat/group planes,
-  /// group indices on the leader plane).
-  void run_ordered_collective(
-      std::span<const std::span<const std::byte>> outgoing, CollectiveSink& sink,
-      const char* plane, std::size_t expected_out, int first, int count,
-      void (Transport::*op)(std::span<const std::span<const std::byte>>,
-                            CollectiveSink&));
-
   /// Receive-lane state machine step for one drained chunk; disposes of
   /// `undelivered` (this chunk and everything drained after it) back to
   /// the inner pool before throwing so a rejected drain leaks nothing.
@@ -399,11 +356,6 @@ class ValidatingTransport final : public Transport {
   detail::ChunkLedger ledger_;
   std::vector<Chunk*> drain_scratch_;
   bool closed_{false};
-  // Hierarchical mode (non-trivial inner topology): the fine-grained
-  // lanes follow the marker-free settlement discipline, clocked by
-  // epoch_advance() instead of per-lane final markers.
-  bool hier_{false};
-  std::uint64_t hier_epoch_{0};
 };
 
 /// Name of the sanitizer baked into this binary, for bench JSON stamping

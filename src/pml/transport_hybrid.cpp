@@ -1,6 +1,5 @@
 // HybridTransport: thread-rank groups nested inside forked socket
-// processes — the composed two-tier substrate of the hierarchical
-// collectives, and (at one rank per process) the proc backend.
+// processes, and (at one rank per process) the proc backend.
 //
 // Shape: the fleet is cut into consecutive blocks of `ranks_per_proc`
 // ranks. Each block is one OS process (group 0 is the calling process,
@@ -8,26 +7,10 @@
 // groups 1..G-1 are forked children), and each rank inside a block is
 // one thread of that process. Every rank owns a SocketFrameTransport by
 // value over a pre-fork socketpair mesh — the full mesh, siblings
-// included, so the fine-grained chunk plane, the abort plane, and the
-// EOF failure detector are exactly the proc backend's, uniform across
-// tiers. What the composition adds is the *collective* tiers:
-//
-//   group_alltoallv  — shared memory. Members publish span pointers into
-//                      per-process slots and meet at a pump-aware group
-//                      barrier (parked ranks keep draining their socket
-//                      lanes so remote writers never stall against a
-//                      member waiting on its siblings), read every slot,
-//                      and meet again before anyone may free its spans.
-//   leader_alltoallv — leader-to-leader collective frames over the
-//                      socket tier (send_collective/take_collective);
-//                      non-leaders never touch the inter-group plane.
-//
-// topology() publishes the block structure, which is what switches Comm
-// onto the two-level collectives; with HybridOptions::flat_collectives
-// the same substrate reports the trivial topology instead, giving the
-// A/B baseline the hierarchical path is measured against. One rank per
-// process makes every group a singleton, which is the trivial topology
-// too: that shape is the proc backend.
+// included, so the collective plane, the fine-grained chunk plane, the
+// abort plane, and the EOF failure detector are exactly the proc
+// backend's, uniform across tiers. What the process adds is a shared
+// group-local abort flag, checked beside the mesh's Abort frames.
 #include "pml/transport_hybrid.hpp"
 
 #include <stdio_ext.h>
@@ -38,7 +21,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cassert>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
@@ -62,7 +44,7 @@
 namespace plv::pml {
 
 HybridOptions resolve_hybrid_options(HybridOptions requested) {
-  // Env knobs are read during single-threaded setup, before any worker
+  // The env knob is read during single-threaded setup, before any worker
   // threads or forked children exist.
   // NOLINTNEXTLINE(concurrency-mt-unsafe)
   const char* rpp = std::getenv("PLV_RANKS_PER_PROC");
@@ -76,11 +58,6 @@ HybridOptions resolve_hybrid_options(HybridOptions requested) {
     }
     requested.ranks_per_proc = static_cast<int>(v);
   }
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  const char* flat = std::getenv("PLV_FLAT_COLLECTIVES");
-  if (flat != nullptr && *flat != '\0') {
-    requested.flat_collectives = std::string_view(flat) != "0";
-  }
   if (requested.ranks_per_proc == 0) requested.ranks_per_proc = 2;
   return requested;
 }
@@ -88,66 +65,36 @@ HybridOptions resolve_hybrid_options(HybridOptions requested) {
 namespace detail {
 namespace {
 
-/// Per-process state shared by the rank threads of one group: the
-/// intra-group collective plane. `slots[j]` is member j's published
-/// outgoing-span array during a group_alltoallv; `state` is the
-/// generation-counting rendezvous, packed into one word (generation in
-/// the high 32 bits, arrivals in the low 32) so a waiter can take its
-/// arrival back with one compare-exchange that fails once the rendezvous
-/// has completed (see HybridTransport::group_sync).
-///
-/// Synchronization map (no PLV_GUARDED_BY here on purpose): a member
-/// writes only its own `slots` entry before the rendezvous and peers read
-/// it only after — the read-modify-write chain on `state` plus the
-/// generation bump (release store, acquire loads in the waiters' spin)
-/// is the ordering edge, not a lock the analysis could name. `aborted`
-/// is the group-local kill flag.
+/// The group-local kill flag shared by the rank threads of one process.
+/// A failing rank raises it beside its Abort frames; a rank whose
+/// transport never came up has no frames to send, and this flag is how
+/// its siblings learn of the failure.
 struct HybridShared {
-  explicit HybridShared(int group_size)
-      : slots(static_cast<std::size_t>(group_size), nullptr), size(group_size) {}
-
-  std::vector<const std::span<const std::byte>*> slots;
-  std::atomic<std::uint64_t> state{0};
-  int size;
   std::atomic<bool> aborted{false};
 };
-
-/// Low half of HybridShared::state: the arrival count.
-constexpr std::uint64_t kArrivals = 0xffffffffULL;
 
 class HybridTransport final : public Transport {
  public:
   /// `name` is the backend name the rank reports. `fds` is this rank's
   /// row of the global socketpair mesh (self -1; sibling lanes are real
-  /// socketpairs too). `topo` is the published topology — Topology::blocks
-  /// normally, Topology::flat under the flat_collectives A/B baseline.
-  /// `group_base`/`slot` locate the rank inside its hosting process
-  /// independently of what topo reports, so the shared-memory plane stays
-  /// wired even when the topology is flattened (Comm then simply never
-  /// uses it).
+  /// socketpairs too).
   HybridTransport(const char* name, int rank, int nranks, std::vector<int> fds,
-                  HybridShared* shared, Topology topo, int group_base)
-      : socket_(name, rank, nranks, std::move(fds)),
-        shared_(shared),
-        topo_(std::move(topo)),
-        group_base_(group_base),
-        slot_(rank - group_base) {}
+                  HybridShared* shared)
+      : socket_(name, rank, nranks, std::move(fds)), shared_(shared) {}
 
   [[nodiscard]] const char* name() const noexcept override { return socket_.name(); }
   [[nodiscard]] int rank() const noexcept override { return socket_.rank(); }
   [[nodiscard]] int nranks() const noexcept override { return socket_.nranks(); }
 
-  // Flat collective plane: every lane exists in the mesh (siblings
-  // included), so the socket implementation is complete as-is. This is
-  // the baseline the hierarchical plane is benchmarked against.
+  // Both planes are pure delegation: every lane exists in the mesh
+  // (siblings included), so the socket implementation is complete as-is.
+  // Chunk pools stay per-rank and single-owner because even sibling sends
+  // cross a socketpair.
   void barrier() override { socket_.barrier(); }
   void alltoallv(std::span<const std::span<const std::byte>> outgoing,
                  CollectiveSink& sink) override {
     socket_.alltoallv(outgoing, sink);
   }
-
-  // Fine-grained plane: pure delegation. Chunk pools stay per-rank and
-  // single-owner because even sibling sends cross a socketpair.
   [[nodiscard]] Chunk* acquire_chunk(std::size_t reserve_bytes) override {
     return socket_.acquire_chunk(reserve_bytes);
   }
@@ -156,72 +103,10 @@ class HybridTransport final : public Transport {
   std::size_t drain(std::vector<Chunk*>& out) override { return socket_.drain(out); }
   void wait_incoming() override { socket_.wait_incoming(); }
 
-  [[nodiscard]] const Topology& topology() const override { return topo_; }
-
-  void group_alltoallv(std::span<const std::span<const std::byte>> outgoing,
-                       CollectiveSink& sink) override {
-    assert(!topo_.trivial());
-    assert(static_cast<int>(outgoing.size()) == topo_.group_size);
-    shared_->slots[static_cast<std::size_t>(slot_)] = outgoing.data();
-    group_sync(/*publish=*/true);  // every member's slot pointer is now visible
-    // From here every member reads every slot, so no member may leave —
-    // by return or by exception — before all of them are done reading.
-    // A failure inside the read loop is held until the group has met.
-    std::exception_ptr failure;
-    try {
-      std::size_t total = 0;
-      for (int j = 0; j < topo_.group_size; ++j) {
-        total += shared_->slots[static_cast<std::size_t>(j)][slot_].size();
-      }
-      sink.total_hint(total);
-      for (int j = 0; j < topo_.group_size; ++j) {
-        // slots[j][slot_] is member j's payload for this rank; ascending j
-        // is ascending global source rank (consecutive blocks).
-        sink.deliver(group_base_ + j, shared_->slots[static_cast<std::size_t>(j)][slot_]);
-      }
-    } catch (...) {
-      failure = std::current_exception();
-    }
-    group_sync(/*publish=*/false);  // spans stay valid until every member is done
-    if (failure) std::rethrow_exception(failure);
-  }
-
-  void leader_alltoallv(std::span<const std::span<const std::byte>> outgoing,
-                        CollectiveSink& sink) override {
-    assert(!topo_.trivial());
-    assert(topo_.is_leader());
-    assert(static_cast<int>(outgoing.size()) == topo_.ngroups);
-    const int G = topo_.ngroups;
-    for (int h = 0; h < G; ++h) {
-      if (h == topo_.group) continue;
-      socket_.send_collective(topo_.leaders[static_cast<std::size_t>(h)],
-                              outgoing[static_cast<std::size_t>(h)]);
-    }
-    // Gather every peer leader's blob before delivering so the sink sees
-    // ascending group order regardless of arrival order.
-    cross_scratch_.assign(static_cast<std::size_t>(G), {});
-    std::size_t total = outgoing[static_cast<std::size_t>(topo_.group)].size();
-    for (int h = 0; h < G; ++h) {
-      if (h == topo_.group) continue;
-      cross_scratch_[static_cast<std::size_t>(h)] =
-          socket_.take_collective(topo_.leaders[static_cast<std::size_t>(h)]);
-      total += cross_scratch_[static_cast<std::size_t>(h)].size();
-    }
-    sink.total_hint(total);
-    for (int h = 0; h < G; ++h) {
-      if (h == topo_.group) {
-        sink.deliver(h, outgoing[static_cast<std::size_t>(h)]);
-      } else {
-        const auto& blob = cross_scratch_[static_cast<std::size_t>(h)];
-        sink.deliver(h, {blob.data(), blob.size()});
-      }
-    }
-  }
-
   void raise_abort() noexcept override {
-    // Order matters: siblings parked in group_sync watch the shared flag,
-    // remote ranks get the best-effort Abort frames (and, failing those,
-    // the EOF when this transport destructs).
+    // Siblings see the shared flag at their next abort point; every peer
+    // gets the best-effort Abort frames (and, failing those, the EOF when
+    // this transport destructs).
     shared_->aborted.store(true, std::memory_order_release);
     socket_.raise_abort();
   }
@@ -243,51 +128,8 @@ class HybridTransport final : public Transport {
   }
 
  private:
-  /// Group rendezvous. The publish rendezvous (`publish`) is abortable:
-  /// waiters keep pumping their own socket lanes — a remote rank
-  /// mid-write to a parked member always finds its reader live, the same
-  /// deadlock-freedom argument write_frame relies on — and once any rank
-  /// (sibling or remote) has failed they take their arrival back and
-  /// unwind with AbortedError, so a group never waits forever on a dead
-  /// member. The take-back only succeeds while the rendezvous is
-  /// incomplete, so no sibling ever reads the slot of a member that left.
-  /// The consume rendezvous neither pumps nor aborts: every member is
-  /// past the publish rendezvous, inside a read loop that never blocks on
-  /// another rank, so that wait is bounded.
-  void group_sync(bool publish) {
-    if (publish && aborted()) throw AbortedError();
-    const std::uint64_t arrived = shared_->state.fetch_add(1, std::memory_order_acq_rel);
-    const std::uint64_t gen = arrived >> 32;
-    const auto size = static_cast<std::uint64_t>(shared_->size);
-    if ((arrived & kArrivals) + 1 == size) {
-      shared_->state.store((gen + 1) << 32, std::memory_order_release);
-      return;
-    }
-    int spins = 0;
-    for (;;) {
-      std::uint64_t s = shared_->state.load(std::memory_order_acquire);
-      if (s >> 32 != gen) return;
-      if (publish) {
-        if (aborted() && (s & kArrivals) < size &&
-            shared_->state.compare_exchange_strong(s, s - 1, std::memory_order_acq_rel)) {
-          throw AbortedError();
-        }
-        try {
-          socket_.pump_incoming(false);
-        } catch (...) {
-          raise_abort();  // allocation failure: leave through the take-back above
-        }
-      }
-      if (++spins > 64) std::this_thread::yield();
-    }
-  }
-
   SocketFrameTransport socket_;
   HybridShared* shared_;
-  Topology topo_;
-  int group_base_;  ///< global rank of this process's first (leader) rank
-  int slot_;        ///< this rank's index inside its hosting process
-  std::vector<std::vector<std::byte>> cross_scratch_;
 };
 
 /// One process's share of the run, parent and child sides alike.
@@ -303,7 +145,7 @@ GroupOutcome run_group(int group, int nranks, const std::function<void(Comm&)>& 
                        const std::vector<std::vector<int>>& mesh) {
   const int base = group * shape.ranks_per_proc;
   const int count = std::min(shape.ranks_per_proc, nranks - base);
-  HybridShared shared(count);
+  HybridShared shared;
   // Loser ranks race to record the group's outcome; lowest failed rank
   // wins, see the merge below.
   struct {
@@ -319,11 +161,8 @@ GroupOutcome run_group(int group, int nranks, const std::function<void(Comm&)>& 
       std::exception_ptr exception;
       int code = kExitFailed;
       try {
-        Topology topo = shape.flat_collectives
-                            ? Topology::flat(nranks)
-                            : Topology::blocks(nranks, shape.ranks_per_proc, r);
         HybridTransport transport(name, r, nranks, mesh[static_cast<std::size_t>(r)],
-                                  &shared, std::move(topo), base);
+                                  &shared);
         code = run_rank_body(transport, body, validate, error_text, &exception);
       } catch (const std::exception& e) {
         error_text = std::string("transport setup failed: ") + e.what();

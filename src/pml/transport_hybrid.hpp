@@ -6,12 +6,10 @@
 // tier: the fleet is split into groups of `ranks_per_proc` consecutive
 // ranks, each group is one forked process hosting its ranks as threads,
 // and every rank owns a SocketFrameTransport over a pre-fork socketpair
-// mesh for the fine-grained plane. The group tier adds a shared-memory
-// collective plane (span slots + a pump-aware group barrier), and the
-// transport publishes the non-trivial Topology that switches Comm onto
-// the two-level hierarchical collectives. The proc backend is this
-// launcher at one rank per process, whose singleton groups publish the
-// flat topology.
+// mesh that carries both planes — siblings in one process talk over it
+// like any two ranks, so Comm runs the same flat collectives and
+// quiescence protocol as on every other backend. The proc backend is this
+// launcher at one rank per process.
 #pragma once
 
 #include <functional>
@@ -24,20 +22,15 @@ class Comm;
 
 /// Shape of a hybrid run. `ranks_per_proc` consecutive ranks share one
 /// forked process (the last group may be ragged when it does not divide
-/// nranks); 0 = auto (PLV_RANKS_PER_PROC, else 2). `flat_collectives`
-/// keeps the composed substrate but reports the trivial topology, so Comm
-/// stays on the flat collectives/quiescence protocol — the A/B baseline
-/// the hierarchical path is benchmarked against (PLV_FLAT_COLLECTIVES=1
-/// forces it).
+/// nranks); 0 = auto (PLV_RANKS_PER_PROC, else 2).
 struct HybridOptions {
-  int ranks_per_proc{0};        ///< thread ranks per forked process; 0 = auto
-  bool flat_collectives{false}; ///< report a trivial topology (A/B baseline)
+  int ranks_per_proc{0};  ///< thread ranks per forked process; 0 = auto
 };
 
-/// Applies the PLV_RANKS_PER_PROC / PLV_FLAT_COLLECTIVES environment
-/// overrides (if set and non-empty) on top of the configured options, and
-/// resolves ranks_per_proc 0 to its default of 2 — same precedence rule
-/// as resolve_transport, so one environment re-targets a whole binary.
+/// Applies the PLV_RANKS_PER_PROC environment override (if set and
+/// non-empty) on top of the configured options, and resolves
+/// ranks_per_proc 0 to its default of 2 — same precedence rule as
+/// resolve_transport, so one environment re-targets a whole binary.
 [[nodiscard]] HybridOptions resolve_hybrid_options(HybridOptions requested);
 
 namespace detail {

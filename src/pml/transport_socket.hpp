@@ -28,7 +28,7 @@
 // phase skew means collective frames can arrive while this rank still
 // drains fine-grained traffic (and vice versa). The receive loop therefore
 // sorts frames into two queues — chunks (Data/Marker, handed to Comm's
-// poll) and per-source collective payload FIFOs — and alltoallv consumes
+// drain) and per-source collective payload FIFOs — and alltoallv consumes
 // the latter *in ascending source order*, which is exactly the rank-order
 // combine that makes reductions bit-identical with ThreadTransport.
 //
@@ -358,48 +358,6 @@ class SocketFrameTransport final : public Transport {
         break;  // peer already gone; its own shutdown state decides the run
       }
     }
-  }
-
-  // -- Composition hooks (the hybrid transport wraps this pump) ----------
-  /// One pump pass over every open lane; block=true parks until traffic
-  /// (or a hangup) arrives. Lets a composing transport keep this rank's
-  /// lanes draining while it waits on a non-socket event (e.g. a group
-  /// barrier), preserving the deadlock-freedom argument: a peer blocked
-  /// mid-write to us always finds our reader live.
-  void pump_incoming(bool block) { pump(block); }
-
-  [[nodiscard]] bool has_incoming() const noexcept { return !incoming_.empty(); }
-
-  /// Ships one collective frame to `dest` without the full-mesh exchange
-  /// of alltoallv — the leader-to-leader primitive of the hierarchical
-  /// collectives. Per-lane FIFO still matches successive frames up.
-  void send_collective(int dest, std::span<const std::byte> payload) {
-    assert(dest != rank_);
-    check_abort();
-    FrameHeader h;
-    h.kind = kFrameCollective;
-    h.payload_bytes = payload.size();
-    write_frame(dest, h, payload);
-  }
-
-  /// Blocks until a collective frame from `src` is available and returns
-  /// its payload (the receive half of send_collective). Throws
-  /// AbortedError if the peer can never deliver one.
-  [[nodiscard]] std::vector<std::byte> take_collective(int src) {
-    assert(src != rank_);
-    auto& queue = pending_collective_[static_cast<std::size_t>(src)];
-    while (queue.empty()) {
-      check_abort();
-      const PeerRx& rx = rx_[static_cast<std::size_t>(src)];
-      if (!rx.open || rx.goodbye) {
-        aborted_ = true;
-        throw AbortedError();
-      }
-      pump(true);
-    }
-    std::vector<std::byte> payload = std::move(queue.front());
-    queue.pop_front();
-    return payload;
   }
 
  private:

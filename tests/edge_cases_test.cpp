@@ -2,6 +2,11 @@
 // cheap, sharp checks on both engines.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "core/louvain_par.hpp"
 #include "graph/csr.hpp"
 #include "metrics/modularity.hpp"
@@ -123,6 +128,57 @@ TEST(EdgeCases, HeavySelfLoopsAnchorVertices) {
   EXPECT_NEAR(s.final_modularity, metrics::modularity(g, s.final_labels), 1e-12);
   const auto p = plv::louvain(GraphSource::from_edges(e, 2), par2());
   EXPECT_NEAR(p.final_modularity, metrics::modularity(g, p.final_labels), 1e-12);
+}
+
+/// Two triangles joined by one bridge; edge (0, 1) carries weight `w`.
+graph::EdgeList two_triangles_with(double w) {
+  graph::EdgeList e;
+  e.add(0, 1, w);
+  e.add(1, 2);
+  e.add(0, 2);
+  e.add(3, 4);
+  e.add(4, 5);
+  e.add(3, 5);
+  e.add(2, 3);
+  return e;
+}
+
+/// Runs `fn`, expecting std::invalid_argument naming edge (0, 1).
+template <typename Fn>
+void expect_bad_weight_rejected(Fn&& fn, double w) {
+  try {
+    fn();
+    ADD_FAILURE() << "weight " << w << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("(0, 1)"), std::string::npos) << e.what();
+  }
+}
+
+TEST(EdgeCases, NegativeNanAndInfiniteWeightsAreRejectedBeforeAnyRankStarts) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const graph::EdgeList good = two_triangles_with(1.0);
+  const std::vector<vid_t> seed = {0, 0, 0, 1, 1, 1};
+  for (const double w : {std::nan(""), inf, -inf, -1.0}) {
+    SCOPED_TRACE(w);
+    const graph::EdgeList bad = two_triangles_with(w);
+    expect_bad_weight_rejected(
+        [&] { (void)plv::louvain(GraphSource::from_edges(bad), par2()); }, w);
+    expect_bad_weight_rejected(
+        [&] { (void)plv::louvain(GraphSource::from_edges_warm(bad, seed), par2()); }, w);
+    const EdgeDelta none;
+    expect_bad_weight_rejected(
+        [&] { (void)plv::louvain(GraphSource::from_deltas(bad, none), par2()); }, w);
+    EdgeDelta bad_insert;
+    bad_insert.inserts.add(0, 1, w);
+    expect_bad_weight_rejected(
+        [&] { (void)plv::louvain(GraphSource::from_deltas(good, bad_insert), par2()); }, w);
+  }
+}
+
+TEST(EdgeCases, ZeroWeightsStayLegal) {
+  const auto r = plv::louvain(GraphSource::from_edges(two_triangles_with(0.0)), par2());
+  EXPECT_TRUE(std::isfinite(r.final_modularity));
+  EXPECT_EQ(r.final_labels.size(), 6u);
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
 #!/bin/sh
-# Fail-fast stress: runs the abort-path suites of the socket transports
-# (proc, tcp and hybrid) as many concurrent processes and requires every
-# run to pass. An abort that unwinds one rank while a sibling still reads
-# its buffers shows up here as a wrong or garbled failure report in a few
-# runs under load, where a single quiet run passes.
+# Fail-fast stress: runs the abort-path and protocol suites of the socket
+# transports (proc, tcp and hybrid) as many concurrent processes and
+# requires every run to pass. An abort that unwinds one rank while a
+# sibling still reads its buffers shows up here as a wrong or garbled
+# failure report in a few runs under load, where a single quiet run
+# passes.
 #
 # Two rounds, each of <runs> concurrent processes:
-#   1. the FailFast suites alone;
+#   1. the FailFast suites and the validated-protocol suites
+#      (ValidatedTransports: conforming traffic under the checker, and a
+#      rank failure that must not turn into a protocol error);
 #   2. a quarter of the runs are the dead-peer test (a SIGKILLed TCP peer
 #      seen from a single-rank process), beside FailFast runs. Under load
 #      the killed peer often still holds unread bytes, so the survivor
@@ -18,6 +21,7 @@ set -u
 bin=$1
 runs=${2:-40}
 failfast='Transports/FailFast.*/proc:Transports/FailFast.*/tcp:Transports/FailFast.*/hybrid'
+protocol='Transports/ValidatedTransports.*/proc:Transports/ValidatedTransports.*/tcp:Transports/ValidatedTransports.*/hybrid'
 dead_peer='TcpFaultInjection.SingleRankModeReportsDeadPeerEndpoint'
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
@@ -58,7 +62,7 @@ collect() {
 }
 
 round=1
-launch "$failfast" "$runs"
+launch "$failfast:$protocol" "$runs"
 collect
 
 round=2

@@ -24,6 +24,21 @@ class IoTest : public ::testing::Test {
     return (dir_ / name).string();
   }
 
+  /// Writes `text` as an edge list and returns the loader's error message
+  /// ("" when it loads).
+  [[nodiscard]] std::string load_error(const std::string& text) const {
+    {
+      std::ofstream out(path("g.txt"));
+      out << text;
+    }
+    try {
+      (void)load_edge_list_text(path("g.txt"));
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  }
+
   std::filesystem::path dir_;
 };
 
@@ -55,6 +70,44 @@ TEST_F(IoTest, TextRejectsMalformedLines) {
   out << "0 1\nnot an edge\n";
   out.close();
   EXPECT_THROW(load_edge_list_text(path("bad.txt")), std::runtime_error);
+}
+
+TEST_F(IoTest, TextRejectsAWeightThatIsNotANumber) {
+  const std::string err = load_error("0 1 abc\n1 2 1\n");
+  EXPECT_NE(err.find("line 1"), std::string::npos) << err;
+  EXPECT_NE(err.find("abc"), std::string::npos) << err;
+  EXPECT_NE(load_error("0 1 2\n1 2 1.5x\n").find("line 2"), std::string::npos);
+}
+
+TEST_F(IoTest, TextRejectsNonFiniteWeights) {
+  for (const char* w : {"nan", "NaN", "inf", "-inf", "infinity", "1e400"}) {
+    const std::string err = load_error(std::string("0 1 ") + w + "\n");
+    EXPECT_NE(err.find("line 1"), std::string::npos) << w << ": " << err;
+  }
+}
+
+TEST_F(IoTest, TextRejectsIdsAtOrAboveInvalidVid) {
+  // 4294967297 used to wrap to vertex 1, and kInvalidVid itself is the
+  // engine's "no vertex" sentinel.
+  const std::string err = load_error("0 1 1\n0 4294967297 1\n");
+  EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+  EXPECT_NE(load_error("4294967295 0\n").find("line 1"), std::string::npos);
+  EXPECT_EQ(load_error("4294967294 0\n"), "");
+}
+
+TEST_F(IoTest, TextRejectsNegativeIds) {
+  const std::string err = load_error("0 -1 1\n1 2 1\n");
+  EXPECT_NE(err.find("line 1"), std::string::npos) << err;
+}
+
+TEST_F(IoTest, TextIgnoresColumnsAfterTheWeight) {
+  {
+    std::ofstream out(path("g.txt"));
+    out << "0 1 2.5 1234567890 comment\n";
+  }
+  const EdgeList loaded = load_edge_list_text(path("g.txt"));
+  ASSERT_EQ(loaded.size(), 1u);
+  EXPECT_DOUBLE_EQ(loaded.edges()[0].w, 2.5);
 }
 
 TEST_F(IoTest, MissingFileThrows) {

@@ -275,8 +275,6 @@ TEST(OptionsValidate, HybridDefaultsAreValid) {
   opts.nranks = 8;
   opts.ranks_per_proc = 2;
   EXPECT_NO_THROW(opts.validate());
-  opts.flat_collectives = true;  // the A/B baseline is a legal run mode
-  EXPECT_NO_THROW(opts.validate());
 }
 
 TEST(OptionsValidate, RejectsRanksPerProcOnNonHybridTransports) {
@@ -307,15 +305,6 @@ TEST(OptionsValidate, RejectsNonDividingRanksPerProc) {
   expect_rejected(opts, "ranks_per_proc");
   opts.ranks_per_proc = 8;  // one group holding the whole fleet is fine
   EXPECT_NO_THROW(opts.validate());
-}
-
-TEST(OptionsValidate, RejectsFlatCollectivesOnNonHybridTransports) {
-  ParOptions opts;
-  opts.flat_collectives = true;
-  opts.transport = pml::TransportKind::kThread;
-  expect_rejected(opts, "flat_collectives");
-  opts.transport = pml::TransportKind::kTcp;
-  expect_rejected(opts, "flat_collectives");
 }
 
 TEST(OptionsValidate, RejectsHostsOnHybridTransport) {

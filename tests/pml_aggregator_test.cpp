@@ -30,9 +30,9 @@ TEST_P(AggregatorTest, DeliversEverythingAfterFlush) {
     for (int i = 0; i < 100; ++i) {
       agg.push(i % comm.nranks(), Record{comm.rank(), i});
     }
-    agg.flush_all();
+    agg.flush_all_final();
     int received = 0;
-    comm.drain_until_quiescent<Record>([&](int, std::span<const Record> recs) {
+    comm.drain_streaming_finalized<Record>([&](int, std::span<const Record> recs) {
       received += static_cast<int>(recs.size());
     });
     PLV_RANK_CHECK_EQ(received, 100);  // 4 ranks * 25 records each to me
@@ -43,10 +43,10 @@ TEST_P(AggregatorTest, CoalescesIntoCapacitySizedChunks) {
   run(2, [&](Comm& comm) {
     Aggregator<Record> agg(comm, 10);
     for (int i = 0; i < 95; ++i) agg.push(1 - comm.rank(), Record{comm.rank(), i});
-    agg.flush_all();
+    agg.flush_all_final();
     // 95 records with capacity 10 → 9 full + 1 partial = 10 chunks.
     PLV_RANK_CHECK_EQ(comm.stats().chunks_sent, 10u);
-    comm.drain_until_quiescent<Record>([](int, std::span<const Record>) {});
+    comm.drain_streaming_finalized<Record>([](int, std::span<const Record>) {});
   });
 }
 
@@ -56,9 +56,9 @@ TEST_P(AggregatorTest, PreservesRecordContents) {
     for (int i = 0; i < 30; ++i) {
       agg.push((comm.rank() + 1) % comm.nranks(), Record{comm.rank(), i * 7});
     }
-    agg.flush_all();
+    agg.flush_all_final();
     std::map<int, std::vector<int>> by_source;
-    comm.drain_until_quiescent<Record>([&](int, std::span<const Record> recs) {
+    comm.drain_streaming_finalized<Record>([&](int, std::span<const Record> recs) {
       for (const Record& r : recs) by_source[r.source].push_back(r.payload);
     });
     const int expected_source = (comm.rank() + comm.nranks() - 1) % comm.nranks();
@@ -79,9 +79,9 @@ TEST_P(AggregatorTest, ZeroCapacityAutoSizes) {
     // 8-byte records, 1 rank: 64 KiB target chunk → 8192 records.
     PLV_RANK_CHECK_EQ(agg.capacity(), 8192u);
     agg.push(0, Record{0, 1});
-    agg.flush_all();
+    agg.flush_all_final();
     int n = 0;
-    comm.drain_until_quiescent<Record>(
+    comm.drain_streaming_finalized<Record>(
         [&](int, std::span<const Record> recs) { n += static_cast<int>(recs.size()); });
     PLV_RANK_CHECK_EQ(n, 1);
   });
@@ -91,9 +91,9 @@ TEST_P(AggregatorTest, SelfSendsWork) {
   run(2, [&](Comm& comm) {
     Aggregator<Record> agg(comm, 16);
     agg.push(comm.rank(), Record{comm.rank(), 42});
-    agg.flush_all();
+    agg.flush_all_final();
     int payload = -1;
-    comm.drain_until_quiescent<Record>([&](int src, std::span<const Record> recs) {
+    comm.drain_streaming_finalized<Record>([&](int src, std::span<const Record> recs) {
       PLV_RANK_CHECK_EQ(src, comm.rank());
       payload = recs[0].payload;
     });

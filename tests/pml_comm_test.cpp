@@ -7,6 +7,7 @@
 #include <span>
 #include <tuple>
 
+#include "pml/aggregator.hpp"
 #include "transport_param.hpp"
 
 namespace plv::pml {
@@ -170,14 +171,13 @@ TEST_P(CommTest, ExchangeGroupedMatchesRequestReply) {
 TEST_P(CommTest, FineGrainedSendAndQuiescence) {
   const int n = nranks();
   run([&](Comm& comm) {
-    // Every rank sends its rank id to every rank, one record at a time.
-    for (int d = 0; d < n; ++d) {
-      const int value = comm.rank();
-      comm.send_chunk(d, &value, sizeof value, 1);
-    }
+    // Every rank sends its rank id to every rank, one record per chunk.
+    Aggregator<int> agg(comm, 1);
+    for (int d = 0; d < n; ++d) agg.push(d, comm.rank());
+    agg.flush_all_final();
     std::uint64_t received_sum = 0;
     std::size_t records = 0;
-    comm.drain_until_quiescent<int>([&](int /*src*/, std::span<const int> vals) {
+    comm.drain_streaming_finalized<int>([&](int /*src*/, std::span<const int> vals) {
       for (int v : vals) {
         received_sum += static_cast<std::uint64_t>(v);
         ++records;
@@ -257,14 +257,13 @@ TEST_P(CommTest, StreamingDrainAppliesSourcesInRankOrderAcrossChunks) {
     // Several chunks per (source, dest) lane: the drain must preserve
     // FIFO within a source and ascending order across sources even when
     // chunks from a later source arrive first.
+    Aggregator<int> agg(comm, 1);  // one record per chunk
     for (int round = 0; round < 3; ++round) {
-      for (int d = 0; d < n; ++d) {
-        const int value = comm.rank() * 10 + round;
-        comm.send_chunk(d, &value, sizeof value, 1);
-      }
+      for (int d = 0; d < n; ++d) agg.push(d, comm.rank() * 10 + round);
     }
+    agg.flush_all_final();
     std::vector<int> seen;
-    comm.drain_streaming<int>([&](int /*src*/, std::span<const int> vals) {
+    comm.drain_streaming_finalized<int>([&](int /*src*/, std::span<const int> vals) {
       seen.insert(seen.end(), vals.begin(), vals.end());
     });
     PLV_RANK_CHECK_EQ(seen.size(), static_cast<std::size_t>(n) * 3);
@@ -273,34 +272,6 @@ TEST_P(CommTest, StreamingDrainAppliesSourcesInRankOrderAcrossChunks) {
         PLV_RANK_CHECK_EQ(seen[static_cast<std::size_t>(s * 3 + round)],
                           s * 10 + round);
       }
-    }
-  });
-}
-
-TEST_P(CommTest, StreamingDrainMatchesQuiescentDrainTotals) {
-  const int n = nranks();
-  run([&](Comm& comm) {
-    // Back-to-back phases over the same Comm: a streaming drain followed
-    // by a classic quiescent drain — epochs must stay aligned and both
-    // must deliver every record exactly once.
-    for (int phase = 0; phase < 2; ++phase) {
-      for (int d = 0; d < n; ++d) {
-        const int value = comm.rank() + phase * 1000;
-        comm.send_chunk(d, &value, sizeof value, 1);
-      }
-      std::uint64_t sum = 0;
-      const auto handler = [&](int /*src*/, std::span<const int> vals) {
-        for (int v : vals) sum += static_cast<std::uint64_t>(v);
-      };
-      if (phase == 0) {
-        comm.drain_streaming<int>(handler);
-      } else {
-        comm.drain_until_quiescent<int>(handler);
-      }
-      const std::uint64_t expect =
-          static_cast<std::uint64_t>(n) * (n - 1) / 2 +
-          static_cast<std::uint64_t>(phase) * 1000 * static_cast<std::uint64_t>(n);
-      PLV_RANK_CHECK_EQ(sum, expect);
     }
   });
 }
@@ -318,6 +289,29 @@ TEST_P(CommTest, TrafficCountersTrackExchange) {
   });
 }
 
+TEST_P(CommTest, RemoteMessageCounterCountsEveryPeerOnEveryRank) {
+  const int n = nranks();
+  run([&](Comm& comm) {
+    const auto peers = static_cast<std::uint64_t>(n - 1);
+    // A streaming exchange ships one fused chunk to every peer; the self
+    // lane never leaves the rank.
+    const std::vector<std::vector<int>> outgoing(static_cast<std::size_t>(n),
+                                                 std::vector<int>{1});
+    comm.exchange_streaming<int>(outgoing, [](int, std::span<const int>) {});
+    PLV_RANK_CHECK_EQ(comm.stats().inter_group_messages, peers);
+    // A collective is one frame to every peer.
+    (void)comm.allreduce_sum(1);
+    PLV_RANK_CHECK_EQ(comm.stats().inter_group_messages, 2 * peers);
+    // An aggregated phase ends with one fused final chunk per destination;
+    // the one to this rank itself is not a remote message.
+    Aggregator<int> agg(comm);
+    for (int d = 0; d < n; ++d) agg.push(d, d);
+    agg.flush_all_final();
+    comm.drain_streaming_finalized<int>([](int, std::span<const int>) {});
+    PLV_RANK_CHECK_EQ(comm.stats().inter_group_messages, 3 * peers);
+  });
+}
+
 TEST_P(CommTest, ChunkPoolTrimmedAtPhaseBoundary) {
   const int n = nranks();
   run([&](Comm& comm) {
@@ -326,11 +320,10 @@ TEST_P(CommTest, ChunkPoolTrimmedAtPhaseBoundary) {
     // Flood every destination with many small chunks so each rank's pool
     // accumulates far more released nodes than the watermark...
     for (int round = 0; round < 8; ++round) {
-      for (int d = 0; d < n; ++d) {
-        const int value = comm.rank();
-        comm.send_chunk(d, &value, sizeof value, 1);
-      }
-      comm.drain_until_quiescent<int>([](int, std::span<const int>) {});
+      Aggregator<int> agg(comm, 1);  // one record per chunk
+      for (int d = 0; d < n; ++d) agg.push(d, comm.rank());
+      agg.flush_all_final();
+      comm.drain_streaming_finalized<int>([](int, std::span<const int>) {});
       // ...and verify the phase boundary clamped the free list back down.
       PLV_RANK_CHECK(comm.chunk_pool_free_count() <= kWatermark);
     }

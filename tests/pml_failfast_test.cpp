@@ -81,7 +81,9 @@ TEST_P(FailFast, ThrowingRankWakesQuiescenceWaiters) {
   // that the dead rank will never send; the abort must wake them.
   auto fut = run_async(4, [](Comm& comm) {
     if (comm.rank() == 3) throw std::runtime_error("rank 3 exploded");
-    comm.drain_until_quiescent<int>([](int, std::span<const int>) {});
+    Aggregator<int> agg(comm);
+    agg.flush_all_final();  // pure end-of-phase markers to every rank
+    comm.drain_streaming_finalized<int>([](int, std::span<const int>) {});
   });
   ASSERT_TRUE(finished_in_time(fut)) << "run hung";
   EXPECT_THROW(fut.get(), std::runtime_error);
@@ -91,9 +93,9 @@ TEST_P(FailFast, ThrowAfterTrafficStillUnblocksDrain) {
   auto fut = run_async(4, [](Comm& comm) {
     Aggregator<int> agg(comm, 4);
     for (int d = 0; d < comm.nranks(); ++d) agg.push(d, comm.rank());
-    agg.flush_all();
+    agg.flush_all_final();
     if (comm.rank() == 1) throw std::runtime_error("rank 1 exploded");
-    comm.drain_until_quiescent<int>([](int, std::span<const int>) {});
+    comm.drain_streaming_finalized<int>([](int, std::span<const int>) {});
     for (int i = 0; i < 1'000'000; ++i) comm.barrier();
   });
   ASSERT_TRUE(finished_in_time(fut)) << "run hung";
@@ -142,9 +144,9 @@ TEST_P(FailFast, CleanRunIsUnaffectedByAbortMachinery) {
   auto fut = run_async(4, [](Comm& comm) {
     Aggregator<int> agg(comm, 8);
     for (int d = 0; d < comm.nranks(); ++d) agg.push(d, 1);
-    agg.flush_all();
+    agg.flush_all_final();
     int total = 0;
-    comm.drain_until_quiescent<int>([&](int, std::span<const int> recs) {
+    comm.drain_streaming_finalized<int>([&](int, std::span<const int> recs) {
       for (int v : recs) total += v;
     });
     if (total != comm.nranks()) throw std::runtime_error("lost records");

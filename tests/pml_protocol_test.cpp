@@ -35,14 +35,7 @@ class FaultyTransport final : public Transport {
     kIncomplete,  // skips the last source entirely
   };
 
-  explicit FaultyTransport(int nranks = 2, int rank = 0)
-      : rank_(rank), nranks_(nranks), topo_(Topology::flat(nranks)) {}
-
-  /// Re-describes the fleet's locality (call BEFORE wrapping in a
-  /// ValidatingTransport — the checker samples topology() once at
-  /// construction to pick flat vs hierarchical lane checking).
-  void set_topology(Topology t) { topo_ = std::move(t); }
-  [[nodiscard]] const Topology& topology() const override { return topo_; }
+  explicit FaultyTransport(int nranks = 2, int rank = 0) : rank_(rank), nranks_(nranks) {}
 
   ~FaultyTransport() override {
     for (Chunk* c : scripted_) delete c;
@@ -68,46 +61,6 @@ class FaultyTransport final : public Transport {
         return;
       case CollectiveMode::kIncomplete:
         for (int s = 0; s + 1 < nranks_; ++s) sink.deliver(s, {});
-        return;
-    }
-  }
-
-  void group_alltoallv(std::span<const std::span<const std::byte>> /*outgoing*/,
-                       CollectiveSink& sink) override {
-    // Group members ascending by global rank (the contract), except under
-    // the scripted violation modes.
-    const int base = topo_.leader;
-    const int size = topo_.group_size;
-    switch (collective_mode) {
-      case CollectiveMode::kInOrder:
-        for (int j = 0; j < size; ++j) sink.deliver(base + j, {});
-        return;
-      case CollectiveMode::kOutOfOrder:
-        sink.deliver(base + 1, {});
-        sink.deliver(base, {});
-        for (int j = 2; j < size; ++j) sink.deliver(base + j, {});
-        return;
-      case CollectiveMode::kIncomplete:
-        for (int j = 0; j + 1 < size; ++j) sink.deliver(base + j, {});
-        return;
-    }
-  }
-
-  void leader_alltoallv(std::span<const std::span<const std::byte>> /*outgoing*/,
-                        CollectiveSink& sink) override {
-    // Peer group leaders ascending by group index.
-    const int groups = topo_.ngroups;
-    switch (collective_mode) {
-      case CollectiveMode::kInOrder:
-        for (int g = 0; g < groups; ++g) sink.deliver(g, {});
-        return;
-      case CollectiveMode::kOutOfOrder:
-        sink.deliver(1, {});
-        sink.deliver(0, {});
-        for (int g = 2; g < groups; ++g) sink.deliver(g, {});
-        return;
-      case CollectiveMode::kIncomplete:
-        for (int g = 0; g + 1 < groups; ++g) sink.deliver(g, {});
         return;
     }
   }
@@ -175,7 +128,6 @@ class FaultyTransport final : public Transport {
  private:
   int rank_;
   int nranks_;
-  Topology topo_;
   std::vector<Chunk*> scripted_;
   std::vector<Chunk*> loopback_;
   bool aborted_{false};
@@ -483,157 +435,6 @@ TEST(ProtocolChecker, IncompleteCollectiveDeliveryIsRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Hierarchical planes (non-trivial topology): the leader-only rule on the
-// inter-group plane, shape/order on both new planes, the no-markers rule
-// of the counted-settlement quiescence protocol, and the epoch_advance
-// clock.
-// ---------------------------------------------------------------------------
-
-/// A 4-rank fleet in two groups of two, seen from `rank` (transports are
-/// pinned objects, so the double is wrapped rather than returned).
-struct HierFaulty {
-  explicit HierFaulty(int rank) : inner(4, rank) {
-    inner.set_topology(Topology::blocks(4, 2, rank));
-  }
-  FaultyTransport inner;
-};
-
-TEST(ProtocolChecker, NonLeaderOnInterGroupPlaneIsRejected) {
-  HierFaulty hier(/*rank=*/1);  // member 1 of group 0
-  FaultyTransport& inner = hier.inner;
-  ValidatingTransport vt(inner);
-  CountingSink sink;
-  std::vector<std::span<const std::byte>> outgoing(2);  // ngroups entries
-  // The unguarded call IS the scenario. plv-lint: allow(leader-collective-pairing)
-  EXPECT_EQ(thrown_violation([&] { vt.leader_alltoallv(outgoing, sink); }),
-            ProtocolViolation::kLeaderOnlyCollective);
-  EXPECT_EQ(sink.deliveries, 0);  // rejected before touching the wire
-}
-
-TEST(ProtocolChecker, MalformedGroupCollectiveShapeIsRejected) {
-  HierFaulty hier(/*rank=*/0);
-  FaultyTransport& inner = hier.inner;
-  ValidatingTransport vt(inner);
-  CountingSink sink;
-  std::vector<std::span<const std::byte>> outgoing(4);  // group has 2 members
-  EXPECT_EQ(thrown_violation([&] { vt.group_alltoallv(outgoing, sink); }),
-            ProtocolViolation::kCollectiveShape);
-}
-
-TEST(ProtocolChecker, MalformedLeaderCollectiveShapeIsRejected) {
-  HierFaulty hier(/*rank=*/2);  // leader of group 1
-  FaultyTransport& inner = hier.inner;
-  ValidatingTransport vt(inner);
-  CountingSink sink;
-  std::vector<std::span<const std::byte>> outgoing(4);  // fleet has 2 groups
-  // Bare-plane violation test. plv-lint: allow(leader-collective-pairing)
-  EXPECT_EQ(thrown_violation([&] { vt.leader_alltoallv(outgoing, sink); }),
-            ProtocolViolation::kCollectiveShape);
-}
-
-TEST(ProtocolChecker, OutOfOrderGroupDeliveryIsRejected) {
-  HierFaulty hier(/*rank=*/0);
-  FaultyTransport& inner = hier.inner;
-  inner.collective_mode = FaultyTransport::CollectiveMode::kOutOfOrder;
-  ValidatingTransport vt(inner);
-  CountingSink sink;
-  std::vector<std::span<const std::byte>> outgoing(2);
-  EXPECT_EQ(thrown_violation([&] { vt.group_alltoallv(outgoing, sink); }),
-            ProtocolViolation::kCollectiveOrder);
-}
-
-TEST(ProtocolChecker, IncompleteLeaderDeliveryIsRejected) {
-  HierFaulty hier(/*rank=*/0);
-  FaultyTransport& inner = hier.inner;
-  inner.collective_mode = FaultyTransport::CollectiveMode::kIncomplete;
-  ValidatingTransport vt(inner);
-  CountingSink sink;
-  std::vector<std::span<const std::byte>> outgoing(2);
-  // Bare-plane violation test. plv-lint: allow(leader-collective-pairing)
-  EXPECT_EQ(thrown_violation([&] { vt.leader_alltoallv(outgoing, sink); }),
-            ProtocolViolation::kCollectiveOrder);
-}
-
-TEST(ProtocolChecker, MarkerOnHierarchicalSendLaneIsRejected) {
-  HierFaulty hier(/*rank=*/0);
-  FaultyTransport& inner = hier.inner;
-  ValidatingTransport vt(inner);
-  // The counted-settlement protocol closes phases by exchanged counts;
-  // a per-lane marker means two termination mechanisms are mixing.
-  EXPECT_EQ(thrown_violation([&] {
-              vt.send(1, make_outgoing(vt, 0, 0, 0, /*control=*/true,
-                                       /*control_records=*/0));
-            }),
-            ProtocolViolation::kHierarchicalMarker);
-  EXPECT_EQ(inner.live_chunks, 0);  // the rejected send disposed of its chunk
-}
-
-TEST(ProtocolChecker, MarkerOnHierarchicalRecvLaneIsRejected) {
-  HierFaulty hier(/*rank=*/0);
-  FaultyTransport& inner = hier.inner;
-  ValidatingTransport vt(inner);
-  inner.script_arrival(1, 0, /*control=*/true, /*control_records=*/1, 1);
-  EXPECT_EQ(thrown_violation([&] { drain_and_release(vt); }),
-            ProtocolViolation::kHierarchicalMarker);
-  EXPECT_EQ(inner.live_chunks, 0);
-}
-
-TEST(ProtocolChecker, HierarchicalEpochSkewIsBoundedByOnePhase) {
-  HierFaulty hier(/*rank=*/0);
-  FaultyTransport& inner = hier.inner;
-  ValidatingTransport vt(inner);
-  // Current epoch and one ahead are legal (one-phase skew window)...
-  vt.send(1, make_outgoing(vt, 0, 0, 1));
-  vt.send(1, make_outgoing(vt, 0, 1, 1));
-  vt.epoch_advance(1);
-  vt.send(1, make_outgoing(vt, 0, 2, 1));
-  // ...two ahead of the settlement clock is a protocol break.
-  EXPECT_EQ(thrown_violation([&] { vt.send(1, make_outgoing(vt, 0, 3, 1)); }),
-            ProtocolViolation::kEpochSkew);
-  EXPECT_EQ(inner.live_chunks, 0);
-}
-
-TEST(ProtocolChecker, HierarchicalStaleEpochArrivalIsRejected) {
-  HierFaulty hier(/*rank=*/0);
-  FaultyTransport& inner = hier.inner;
-  ValidatingTransport vt(inner);
-  vt.epoch_advance(1);
-  vt.epoch_advance(2);
-  // A rank can only pass settlement for epoch e once every peer finished
-  // sending into e; data for epoch 0 arriving now proves a counting bug.
-  inner.script_arrival(1, 0, /*control=*/false, 0, 1);
-  EXPECT_EQ(thrown_violation([&] { drain_and_release(vt); }),
-            ProtocolViolation::kEpochSkew);
-  EXPECT_EQ(inner.live_chunks, 0);
-}
-
-TEST(ProtocolChecker, NonMonotonicEpochAdvanceIsRejected) {
-  HierFaulty hier(/*rank=*/0);
-  FaultyTransport& inner = hier.inner;
-  ValidatingTransport vt(inner);
-  vt.epoch_advance(1);
-  EXPECT_EQ(thrown_violation([&] { vt.epoch_advance(3); }),
-            ProtocolViolation::kEpochSkew);
-}
-
-TEST(ProtocolChecker, SettlementOverDeliveryIsRejected) {
-  // The per-source conservation check behind the settlement collective:
-  // a source settled 2 records for this phase but 3 arrived.
-  EXPECT_EQ(thrown_violation([&] {
-              detail::check_source_quiescence_conservation(
-                  /*enforce=*/true, /*rank=*/0, /*epoch=*/0, /*source=*/1,
-                  /*received=*/3, /*expected=*/2, "faulty");
-            }),
-            ProtocolViolation::kQuiescenceMismatch);
-  // Exact and under-delivery-so-far are silent (under-delivery at drain
-  // end is caught by the aggregate totals instead).
-  EXPECT_NO_THROW(detail::check_source_quiescence_conservation(true, 0, 0, 1, 2, 2,
-                                                               "faulty"));
-  EXPECT_NO_THROW(detail::check_source_quiescence_conservation(true, 0, 0, 1, 1, 2,
-                                                               "faulty"));
-}
-
-// ---------------------------------------------------------------------------
 // The folded typed quiescence check (Comm layer, sizeof(T)-exact) and the
 // abort exemption.
 // ---------------------------------------------------------------------------
@@ -647,7 +448,11 @@ TEST(ProtocolChecker, TypedQuiescenceCountMismatchSurfacesThroughComm) {
   inner.script_arrival(1, 0, /*control=*/true, /*control_records=*/4, 0);
   Comm comm(vt);
   const ProtocolViolation kind = thrown_violation([&] {
-    comm.drain_until_quiescent<std::uint64_t>([](int, std::span<const std::uint64_t>) {});
+    // This rank's own end of the phase: a marker to each rank, the one to
+    // itself looping back through the double's self lane.
+    for (int d = 0; d < comm.nranks(); ++d) comm.send_marker(d);
+    comm.drain_streaming_finalized<std::uint64_t>(
+        [](int, std::span<const std::uint64_t>) {});
   });
   EXPECT_EQ(kind, ProtocolViolation::kQuiescenceMismatch);
   EXPECT_EQ(inner.live_chunks, 0);
@@ -723,16 +528,17 @@ TEST_P(ValidatedTransports, ConformingTrafficPassesAllPlanes) {
     const int sum = comm.allreduce_sum(comm.rank() + 1);
     PLV_RANK_CHECK_EQ(sum, P * (P + 1) / 2);
     comm.barrier();
-    // Aggregated fine-grained phase (pure markers close the lanes).
+    // Aggregated fine-grained phase (full chunks, then one fused final
+    // chunk or pure marker closes each lane).
     std::uint64_t received = 0;
     {
       Aggregator<std::uint64_t> agg(comm, 8);
       for (int d = 0; d < P; ++d) {
         for (int i = 0; i < 10 + d; ++i) agg.push(d, static_cast<std::uint64_t>(i));
       }
-      agg.flush_all();
+      agg.flush_all_final();
     }
-    comm.drain_until_quiescent<std::uint64_t>(
+    comm.drain_streaming_finalized<std::uint64_t>(
         [&](int, std::span<const std::uint64_t> recs) { received += recs.size(); });
     PLV_RANK_CHECK_EQ(received, static_cast<std::uint64_t>(P * (10 + comm.rank())));
     // Streaming exchange (fused data+marker chunks + zero-copy self lane),

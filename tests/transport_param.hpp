@@ -53,9 +53,8 @@ class ScopedTransportEnv {
 /// Every backend a parameterized suite should cover. The tcp entry runs
 /// the loopback self-test fleet (TcpOptions defaults): forked ranks over
 /// 127.0.0.1 ephemeral ports, no configuration. The hybrid entry runs
-/// the composed two-tier fleet (HybridOptions defaults: groups of 2
-/// thread ranks per forked process), which exercises the hierarchical
-/// collectives and the counted-settlement quiescence protocol.
+/// groups of 2 thread ranks per forked process (HybridOptions defaults),
+/// so sibling ranks of one process exchange frames over the mesh.
 inline constexpr TransportKind kAllTransports[] = {
     TransportKind::kThread, TransportKind::kProc, TransportKind::kTcp,
     TransportKind::kHybrid};

@@ -9,10 +9,9 @@ the same rules:
   * the **clang engine** (default where the `clang.cindex` libclang
     bindings import) grounds every rule in the AST: banned types are
     recognized by their resolved declaration (namespace std checked, not
-    guessed), releases/calls by cursor kind (a CALL_EXPR is a call site;
-    definitions, declarations, and member-pointer uses never match), and
-    guards by position inside the *enclosing function*, not a line
-    window;
+    guessed), and releases/calls by cursor kind (a CALL_EXPR is a call
+    site; definitions, declarations, and member-pointer uses never
+    match);
   * the **regex engine** is the dependency-free fallback (comment- and
     string-blanked textual matching) so `ctest` works on machines without
     libclang. It is a slightly coarser over/under-approximation — noted
@@ -39,27 +38,6 @@ The rules:
       implementation itself — is exempt. AST mode types the delete's
       operand (any expression deleting a Chunk*, whatever the variable is
       called); the regex fallback keys on chunk-ish operand names.
-
-  aggregator-final-drain
-      Comm::drain_streaming_finalized sends no marker wave: it relies on
-      the caller having ended the phase toward every destination already,
-      which is exactly what Aggregator::flush_all_final does. Pairing it
-      with plain flush_all() (whose phase end comes from the drain's own
-      markers) deadlocks the phase — the nearest aggregator flush
-      preceding every drain_streaming_finalized call site must be
-      flush_all_final. Call sites are CALL_EXPR cursors in AST mode.
-
-  leader-collective-pairing
-      Transport::leader_alltoallv is the leaders-only inter-group plane of
-      the hierarchical collectives: a non-leader that reaches it throws
-      kLeaderOnlyCollective under validation, and a leader that calls it
-      without the group_alltoallv up/down phases silently drops every
-      non-leader's contribution. AST mode demands an is_leader reference
-      *earlier in the enclosing function* of each leader_alltoallv
-      CALL_EXPR plus a group_alltoallv call in the file; the regex
-      fallback approximates the guard with a preceding-lines window.
-      Definitions and member-pointer uses are not CALL_EXPRs and need no
-      exemption; deliberate-violation tests carry allow markers.
 
   refine-full-scan
       The refine inner loops in src/core/louvain_par.cpp are frontier-
@@ -122,9 +100,6 @@ import sys
 MAP_BAN_DIRS = ("src/core", "src/pml", "src/hashing")
 CHUNK_DIRS = ("src/core", "src/pml", "src/hashing")
 CHUNK_EXEMPT = ("src/pml/mailbox.hpp",)
-# Aggregator/drain pairing is checked everywhere the API is used, tests
-# and benches included — a deadlocking example is still a bug.
-AGG_DIRS = ("src", "tests", "bench", "examples")
 # louvain_rank is callable from tests only; the engine's own translation
 # unit and header hold the definition/declaration.
 RANK_ENTRY_DIRS = ("src", "bench", "examples")
@@ -157,13 +132,6 @@ MAP_BAN_RE = re.compile(
 # operand instead and has no naming dependence.)
 RAW_DELETE_RE = re.compile(r"\bdelete\b[^;]*\b(?:[Cc]hunk\w*|c)\s*;")
 RECYCLE_RE = re.compile(r"(?:\.|->)\s*recycle\s*\(")
-# Call sites only (object.method / ptr->method): definitions and
-# declarations of these members in comm.hpp / aggregator.hpp don't match.
-FINAL_DRAIN_CALL_RE = re.compile(r"(?:\.|->)\s*drain_streaming_finalized\s*[<(]")
-FLUSH_CALL_RE = re.compile(r"(?:\.|->)\s*(flush_all(?:_final)?)\s*\(")
-LEADER_CALL_RE = re.compile(r"(?:\.|->)\s*leader_alltoallv\s*\(")
-GROUP_CALL_RE = re.compile(r"(?:\.|->)\s*group_alltoallv\s*\(")
-IS_LEADER_RE = re.compile(r"\bis_leader\b")
 RANK_ENTRY_RE = re.compile(r"\blouvain_rank\s*\(")
 # A for loop whose bound is the local partition size: `for (vid_t l = 0;
 # l < local_n; ...)` and spacing/name variants. The bound name is what
@@ -181,13 +149,6 @@ ATOMIC_CALL_RE = re.compile(
     r"(?:\.|->)\s*(load|store|fetch_add|fetch_sub|fetch_and|fetch_or|fetch_xor|"
     r"compare_exchange_weak|compare_exchange_strong|test_and_set)\s*(\()"
 )
-# How far above a leader_alltoallv call the is_leader guard may sit in
-# the regex engine. The real call site (Comm::hier_alltoallv's cross
-# phase) stages the leader blobs between the branch and the call, so the
-# window is generous; it only needs to be smaller than the distance to an
-# unrelated function. The clang engine uses the enclosing function
-# instead of a window.
-LEADER_GUARD_WINDOW = 80
 
 ALLOW_RE = re.compile(r"plv-lint:\s*allow\(([\w,\s-]+)\)")
 
@@ -212,21 +173,6 @@ MESSAGES = {
     "raw-chunk-release": (
         "chunk node released outside the pool API; use "
         "Transport::release_chunk / ChunkPool::release"
-    ),
-    "aggregator-final-drain": (
-        "drain_streaming_finalized paired with flush_all(); the finalized "
-        "drain sends no markers, so the aggregator must be flushed with "
-        "flush_all_final()"
-    ),
-    "leader-guard": (
-        "leader_alltoallv call without an is_leader guard above it; the "
-        "inter-group plane is leaders-only (non-leaders throw "
-        "kLeaderOnlyCollective under validation)"
-    ),
-    "leader-pairing": (
-        "leader_alltoallv call without a group_alltoallv pairing in the "
-        "file; a lone cross phase drops every non-leader's contribution "
-        "(no up/down phases)"
     ),
     "refine-full-scan": (
         "full-partition vertex sweep in the refine engine; iterate the "
@@ -346,14 +292,13 @@ class FileScope:
         self.rel = rel
         self.map_ban = rel.startswith(MAP_BAN_DIRS)
         self.chunk = rel.startswith(CHUNK_DIRS) and rel not in CHUNK_EXEMPT
-        self.agg = rel.startswith(AGG_DIRS)
         self.rank_entry = rel.startswith(RANK_ENTRY_DIRS) and rel not in RANK_ENTRY_EXEMPT
         self.refine_scan = rel in REFINE_SCAN_FILES
         self.raw_mutex = rel.startswith(RAW_MUTEX_DIRS) and rel not in RAW_MUTEX_EXEMPT
         self.memory_order = rel.startswith(MEMORY_ORDER_DIRS)
 
     def any(self) -> bool:
-        return (self.map_ban or self.chunk or self.agg or self.rank_entry
+        return (self.map_ban or self.chunk or self.rank_entry
                 or self.refine_scan or self.raw_mutex or self.memory_order)
 
 
@@ -368,9 +313,9 @@ class RegexEngine:
         raw_lines = raw.splitlines()
         code_lines = code.splitlines()
 
-        def hit(idx: int, rule: str, message_key: str | None = None) -> None:
+        def hit(idx: int, rule: str) -> None:
             if not allowed(raw_lines, idx + 1, rule):
-                report(path, idx + 1, rule, MESSAGES[message_key or rule])
+                report(path, idx + 1, rule, MESSAGES[rule])
 
         for idx, code_line in enumerate(code_lines):
             if scope.map_ban and MAP_BAN_RE.search(code_line):
@@ -394,44 +339,6 @@ class RegexEngine:
                 if not allowed(raw_lines, line_no, "explicit-memory-order"):
                     report(path, line_no, "explicit-memory-order",
                            MESSAGES["explicit-memory-order"])
-
-        # aggregator-final-drain: nearest preceding flush call before every
-        # drain_streaming_finalized call site must be flush_all_final.
-        if scope.agg:
-            for m in FINAL_DRAIN_CALL_RE.finditer(code):
-                line_no = code.count("\n", 0, m.start()) + 1
-                if allowed(raw_lines, line_no, "aggregator-final-drain"):
-                    continue
-                flushes = list(FLUSH_CALL_RE.finditer(code, 0, m.start()))
-                if not flushes:
-                    # A marker-free drain with no aggregator flush at all in
-                    # the file: the caller must have finalized through
-                    # send_filled_final / send_marker by hand — legal (the
-                    # Comm internals do this), so only the mispairing with a
-                    # non-final flush is an error.
-                    continue
-                if flushes[-1].group(1) != "flush_all_final":
-                    report(path, line_no, "aggregator-final-drain",
-                           MESSAGES["aggregator-final-drain"])
-
-        # leader-collective-pairing: every leader_alltoallv call site needs
-        # an is_leader guard above it and a group_alltoallv pairing in the
-        # file (see module docstring).
-        if scope.agg:
-            has_group_call = GROUP_CALL_RE.search(code) is not None
-            for m in LEADER_CALL_RE.finditer(code):
-                line_no = code.count("\n", 0, m.start()) + 1
-                if allowed(raw_lines, line_no, "leader-collective-pairing"):
-                    continue
-                window = "\n".join(
-                    code_lines[max(0, line_no - 1 - LEADER_GUARD_WINDOW):line_no - 1])
-                if not IS_LEADER_RE.search(window):
-                    report(path, line_no, "leader-collective-pairing",
-                           MESSAGES["leader-guard"])
-                    continue
-                if not has_group_call:
-                    report(path, line_no, "leader-collective-pairing",
-                           MESSAGES["leader-pairing"])
 
 
 def load_cindex():
@@ -495,27 +402,6 @@ class ClangEngine:
     def _type_names_any(type_spelling: str, names: tuple[str, ...]) -> bool:
         return any(re.search(rf"\bstd::{n}\b", type_spelling) for n in names)
 
-    def _enclosing_function(self, stack):
-        ci = self.ci
-        fn_kinds = {ci.CursorKind.FUNCTION_DECL, ci.CursorKind.CXX_METHOD,
-                    ci.CursorKind.FUNCTION_TEMPLATE, ci.CursorKind.CONSTRUCTOR,
-                    ci.CursorKind.DESTRUCTOR, ci.CursorKind.LAMBDA_EXPR}
-        for c in reversed(stack):
-            if c.kind in fn_kinds:
-                return c
-        return None
-
-    def _subtree_has_is_leader_before(self, fn_cursor, offset: int) -> bool:
-        ci = self.ci
-        ref_kinds = {ci.CursorKind.CALL_EXPR, ci.CursorKind.MEMBER_REF_EXPR,
-                     ci.CursorKind.DECL_REF_EXPR,
-                     ci.CursorKind.OVERLOADED_DECL_REF}
-        for c in fn_cursor.walk_preorder():
-            if (c.kind in ref_kinds and c.spelling == "is_leader"
-                    and c.location.offset < offset):
-                return True
-        return False
-
     # -- per-file lint -----------------------------------------------------
 
     def lint_file(self, path: pathlib.Path, scope: FileScope, report) -> None:
@@ -544,9 +430,9 @@ class ClangEngine:
                 self.fallback.lint_file(path, scope, report)
             return
 
-        def hit(line_no: int, rule: str, message_key: str | None = None) -> None:
+        def hit(line_no: int, rule: str) -> None:
             if not allowed(raw_lines, line_no, rule):
-                report(path, line_no, rule, MESSAGES[message_key or rule])
+                report(path, line_no, rule, MESSAGES[rule])
 
         this_file = str(path)
 
@@ -554,32 +440,15 @@ class ClangEngine:
             loc = cursor.location
             return loc.file is not None and loc.file.name == this_file
 
-        # Gathered during one walk; resolved after.
-        drain_calls: list = []   # (offset, line)
-        flush_calls: list = []   # (offset, spelling)
-        leader_calls: list = []  # (offset, line, enclosing_fn)
-        has_group_call = False
-
-        call_like = {ci.CursorKind.CALL_EXPR}
-        name_ref_kinds = {ci.CursorKind.CALL_EXPR, ci.CursorKind.MEMBER_REF_EXPR,
-                          ci.CursorKind.OVERLOADED_DECL_REF}
-
-        stack: list = []
-
         def walk(cursor) -> None:
-            nonlocal has_group_call
             for child in cursor.get_children():
                 if in_this_file(child):
                     visit(child)
-                stack.append(child)
                 walk(child)
-                stack.pop()
 
         def visit(c) -> None:
-            nonlocal has_group_call
             kind = c.kind
             line = c.location.line
-            offset = c.location.offset
 
             if scope.map_ban:
                 if kind == ci.CursorKind.INCLUSION_DIRECTIVE and c.spelling in (
@@ -643,46 +512,7 @@ class ClangEngine:
                             if not has_order:
                                 hit(line, "explicit-memory-order")
 
-            if scope.agg:
-                if kind in name_ref_kinds and c.spelling == "drain_streaming_finalized":
-                    if kind in call_like or not any(
-                            d[0] == offset for d in drain_calls):
-                        drain_calls.append((offset, line))
-                if kind in name_ref_kinds and c.spelling in ("flush_all",
-                                                             "flush_all_final"):
-                    flush_calls.append((offset, c.spelling))
-                if kind == ci.CursorKind.CALL_EXPR and c.spelling == "leader_alltoallv":
-                    leader_calls.append((offset, line, self._enclosing_function(stack)))
-                if kind == ci.CursorKind.CALL_EXPR and c.spelling == "group_alltoallv":
-                    has_group_call = True
-
         walk(tu.cursor)
-
-        if scope.agg:
-            flush_calls.sort()
-            seen_drains = set()
-            for offset, line in sorted(drain_calls):
-                if line in seen_drains:
-                    continue
-                seen_drains.add(line)
-                if allowed(raw_lines, line, "aggregator-final-drain"):
-                    continue
-                preceding = [s for o, s in flush_calls if o < offset]
-                if preceding and preceding[-1] != "flush_all_final":
-                    report(path, line, "aggregator-final-drain",
-                           MESSAGES["aggregator-final-drain"])
-            for offset, line, fn in leader_calls:
-                if allowed(raw_lines, line, "leader-collective-pairing"):
-                    continue
-                guarded = fn is not None and self._subtree_has_is_leader_before(
-                    fn, offset)
-                if not guarded:
-                    report(path, line, "leader-collective-pairing",
-                           MESSAGES["leader-guard"])
-                    continue
-                if not has_group_call:
-                    report(path, line, "leader-collective-pairing",
-                           MESSAGES["leader-pairing"])
 
 
 class Linter:
@@ -716,7 +546,7 @@ class Linter:
         """Lints the tree and returns the violations without printing
         (the seam the self-test suite drives)."""
         self.scanned = 0
-        all_dirs = tuple(sorted({*MAP_BAN_DIRS, *CHUNK_DIRS, *AGG_DIRS,
+        all_dirs = tuple(sorted({*MAP_BAN_DIRS, *CHUNK_DIRS,
                                  *RANK_ENTRY_DIRS, *RAW_MUTEX_DIRS,
                                  *MEMORY_ORDER_DIRS}))
         for p in self.files_under(all_dirs):

@@ -108,72 +108,6 @@ class EngineMixin:
                 self.CHUNK_STUB + "inline void f(Chunk* c) { delete c; }\n"}
         self.assertEqual(self.lint(tree), [])
 
-    # -- aggregator-final-drain -------------------------------------------
-
-    AGG_STUB = ("struct Agg { void flush_all(); void flush_all_final(); };\n"
-                "struct Comm { void drain_streaming_finalized(); };\n")
-
-    def test_plain_flush_before_final_drain_fires(self):
-        tree = {"tests/bad.cpp": self.AGG_STUB +
-                "void f(Agg& a, Comm& c) {\n"
-                "  a.flush_all();\n"
-                "  c.drain_streaming_finalized();\n"
-                "}\n"}
-        self.assertEqual(rules_of(self.lint(tree)), ["aggregator-final-drain"])
-
-    def test_final_flush_pairing_is_clean(self):
-        tree = {"tests/ok.cpp": self.AGG_STUB +
-                "void f(Agg& a, Comm& c) {\n"
-                "  a.flush_all_final();\n"
-                "  c.drain_streaming_finalized();\n"
-                "}\n"}
-        self.assertEqual(self.lint(tree), [])
-
-    def test_drain_without_any_flush_is_clean(self):
-        tree = {"tests/ok.cpp": self.AGG_STUB +
-                "void f(Comm& c) { c.drain_streaming_finalized(); }\n"}
-        self.assertEqual(self.lint(tree), [])
-
-    # -- leader-collective-pairing ----------------------------------------
-
-    # The stub lives in its own header so the regex engine's guard window
-    # doesn't mistake the is_leader *declaration* for a guard.
-    LEADER_STUB = ("struct T { bool is_leader(); void leader_alltoallv();\n"
-                   "           void group_alltoallv(); };\n")
-    LEADER_INC = '#include "leader_stub.hpp"\n'
-
-    def leader_tree(self, body: str) -> dict[str, str]:
-        return {"src/pml/leader_stub.hpp": self.LEADER_STUB,
-                "src/pml/case.cpp": self.LEADER_INC + body}
-
-    def test_unguarded_leader_call_fires(self):
-        tree = self.leader_tree(
-            "void f(T& t) {\n  t.leader_alltoallv();\n  t.group_alltoallv();\n}\n")
-        self.assertEqual(rules_of(self.lint(tree)), ["leader-collective-pairing"])
-
-    def test_guarded_and_paired_is_clean(self):
-        tree = self.leader_tree(
-            "void f(T& t) {\n"
-            "  if (t.is_leader()) {\n    t.leader_alltoallv();\n  }\n"
-            "  t.group_alltoallv();\n"
-            "}\n")
-        self.assertEqual(self.lint(tree), [])
-
-    def test_missing_group_pairing_fires(self):
-        tree = self.leader_tree(
-            "void f(T& t) {\n"
-            "  if (t.is_leader()) {\n    t.leader_alltoallv();\n  }\n"
-            "}\n")
-        self.assertEqual(rules_of(self.lint(tree)), ["leader-collective-pairing"])
-
-    def test_leader_allow_marker(self):
-        tree = self.leader_tree(
-            "void f(T& t) {\n"
-            "  // plv-lint: allow(leader-collective-pairing)\n"
-            "  t.leader_alltoallv();\n"
-            "}\n")
-        self.assertEqual(self.lint(tree), [])
-
     # -- refine-full-scan -------------------------------------------------
 
     def test_full_scan_in_refine_tu_fires(self):
@@ -322,11 +256,6 @@ class ClangEngineTest(EngineMixin, unittest.TestCase):
         # stray pointer named `c` of another type stays clean.
         tree = {"src/pml/ok.cpp":
                 "struct Cfg {};\nvoid f(Cfg* other) { delete other; }\n"}
-        self.assertEqual(self.lint(tree), [])
-
-    def test_member_pointer_use_is_not_a_call(self):
-        tree = {"src/pml/ok.cpp": self.LEADER_STUB +
-                "auto g() { return &T::leader_alltoallv; }\n"}
         self.assertEqual(self.lint(tree), [])
 
 
