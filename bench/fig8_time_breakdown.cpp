@@ -78,35 +78,6 @@ int main() {
   for (const auto& [name, secs] : r.timers.items()) agg.row().add(name).add(secs);
   agg.print();
 
-  // A/B: incremental Out_Table maintenance (default cadence) vs the legacy
-  // rebuild-every-iteration propagation, same graph and (bit-compatible)
-  // trajectory.
-  plv::core::ParOptions legacy = opts;
-  legacy.refine.full_rebuild_every = 1;
-  const auto r_legacy = plv::louvain(plv::GraphSource::from_edges(g.edges, p.n), legacy);
-  auto total_prop_records = [](const plv::core::ParResult& res) {
-    std::uint64_t sum = 0;
-    for (const auto& level : res.levels) {
-      for (std::uint64_t recs : level.trace.prop_records) sum += recs;
-    }
-    return sum;
-  };
-  std::cout << "\ndelta vs full-rebuild propagation (A/B):\n";
-  plv::TextTable ab({"variant", "REFINE-s", "STATE PROPAGATION-s", "prop-records",
-                     "records-sent-total"});
-  ab.row()
-      .add("delta (rebuild every " + std::to_string(opts.refine.full_rebuild_every) + ")")
-      .add(r.timers.get(plv::phase::kRefine))
-      .add(r.timers.get(plv::phase::kStatePropagation))
-      .add(total_prop_records(r))
-      .add(r.traffic.records_sent);
-  ab.row()
-      .add("full rebuild every iteration")
-      .add(r_legacy.timers.get(plv::phase::kRefine))
-      .add(r_legacy.timers.get(plv::phase::kStatePropagation))
-      .add(total_prop_records(r_legacy))
-      .add(r_legacy.traffic.records_sent);
-  ab.print();
   std::cout << "\npaper shape check: first outer loop >90% of total; REFINE >>\n"
                "GRAPH RECONSTRUCTION; FIND/UPDATE decay over inner iterations.\n"
                "With delta maintenance, STATE PROPAGATION records now *decay*\n"

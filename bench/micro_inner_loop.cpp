@@ -1,17 +1,11 @@
-// Micro-benchmark of the REFINE inner loop: incremental Out_Table
-// maintenance (delta propagation + flat hot-path tables) vs the legacy
-// rebuild-every-iteration STATE PROPAGATION (google-benchmark).
+// Micro-benchmark of the REFINE inner loop under the convergence
+// heuristics (google-benchmark): BM_FrontierAB runs the heuristics bundle
+// against the stock defaults, so the CI bench-smoke job publishes both
+// from one run.
 //
-// One benchmark, one knob: Arg is RefinePlan::full_rebuild_every (1 =
-// legacy full rebuild each iteration, 0 = never rebuild, 4 = hybrid
-// cadence), so a single binary produces the A/B/n comparison and the CI
-// bench-smoke job publishes all variants from one run. The paths are
-// bit-compatible on the unit-weight LFR input, so every variant performs
-// the *same* label trajectory — differences are pure propagation cost.
-//
-// Counters (per run): refine_s and prop_s from the engine's phase timers
-// (max over ranks, the critical path), prop_records summed over the trace
-// (total propagation records shipped by all ranks).
+// Counters (per run): refine_s and find_s from the engine's phase timers
+// (max over ranks, the critical path), iterations, and scanned vertices
+// per FIND.
 #include <benchmark/benchmark.h>
 
 #include "bench_context.hpp"
@@ -20,42 +14,11 @@
 
 namespace {
 
-const plv::graph::EdgeList& workload() {
-  static const auto g = plv::gen::lfr({.n = 4000, .mu = 0.3, .seed = 71});
-  return g.edges;
-}
-
-void BM_RefineInnerLoop(benchmark::State& state) {
-  const int cadence = static_cast<int>(state.range(0));
-  plv::core::ParOptions opts;
-  opts.nranks = 4;
-  opts.refine.full_rebuild_every = cadence;
-
-  double refine_s = 0.0;
-  double prop_s = 0.0;
-  std::uint64_t prop_records = 0;
-  std::uint64_t runs = 0;
-  for (auto _ : state) {
-    const auto r = plv::louvain(plv::GraphSource::from_edges(workload(), 4000), opts);
-    benchmark::DoNotOptimize(r.final_modularity);
-    refine_s += r.timers.get(plv::phase::kRefine);
-    prop_s += r.timers.get(plv::phase::kStatePropagation);
-    for (const auto& level : r.levels) {
-      for (std::uint64_t recs : level.trace.prop_records) prop_records += recs;
-    }
-    ++runs;
-  }
-  const double inv_runs = runs > 0 ? 1.0 / static_cast<double>(runs) : 0.0;
-  state.counters["refine_s"] = refine_s * inv_runs;
-  state.counters["prop_s"] = prop_s * inv_runs;
-  state.counters["prop_records"] = static_cast<double>(prop_records) * inv_runs;
-}
-
 // Fig. 7-scale workload for the frontier A/B: the scan-reduction
 // heuristics pay off in proportion to the per-rank partition size, so
 // the A/B runs on a graph large enough that FIND dominates the refine
-// loop (at 8 ranks the 4000-vertex workload above is 500 vertices per
-// rank — collective-bound, hostile terrain for any scan optimization).
+// loop (at 8 ranks a 4000-vertex graph is 500 vertices per rank —
+// collective-bound, hostile terrain for any scan optimization).
 const plv::graph::EdgeList& frontier_workload() {
   static const auto g = plv::gen::lfr({.n = 20000, .mu = 0.3, .seed = 71});
   return g.edges;
@@ -125,10 +88,6 @@ void BM_FrontierAB(benchmark::State& state) {
 }
 
 }  // namespace
-
-// Arg = full_rebuild_every: 1 = legacy full rebuild, 0 = pure delta,
-// 4 = hybrid cadence.
-BENCHMARK(BM_RefineInnerLoop)->Arg(1)->Arg(0)->Arg(4)->Unit(benchmark::kMillisecond);
 
 // Args = {heuristics (0 = defaults, 1 = RefinePlan::heuristics()), nranks}.
 BENCHMARK(BM_FrontierAB)

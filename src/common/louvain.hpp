@@ -149,17 +149,24 @@ struct EdgeDelta {
   }
 };
 
-/// Rejects the weights modularity cannot carry: negative, NaN and
-/// infinite ones (zero stays legal). Throws std::invalid_argument naming
-/// `who` and the first such edge; the front doors call it on the
-/// caller's thread, before any rank starts.
-inline void require_valid_weights(const graph::EdgeList& edges, const char* who) {
+/// Rejects the edges the engine cannot carry: a vertex id at or above
+/// kInvalidVid (the engine's "no vertex" sentinel, and 1 + that id
+/// wraps to 0), and a weight modularity cannot carry — negative, NaN or
+/// infinite (zero stays legal). Throws std::invalid_argument naming `who`
+/// and the first such edge. The front doors call it on the caller's
+/// thread before any rank starts; streamed slices, built inside the
+/// ranks, are checked there and fail the fleet with the same message.
+inline void require_valid_edges(const graph::EdgeList& edges, const char* who) {
   for (const Edge& e : edges) {
-    if (std::isfinite(e.w) && e.w >= 0.0) continue;
-    throw std::invalid_argument(std::string(who) + ": edge (" + std::to_string(e.u) + ", " +
-                                std::to_string(e.v) + ") has weight " +
-                                std::to_string(e.w) +
-                                "; weights must be finite and non-negative");
+    const bool bad_id = e.u == kInvalidVid || e.v == kInvalidVid;
+    if (!bad_id && std::isfinite(e.w) && e.w >= 0.0) continue;
+    const std::string edge = std::string(who) + ": edge (" + std::to_string(e.u) + ", " +
+                             std::to_string(e.v) + ")";
+    throw std::invalid_argument(
+        bad_id ? edge + " names vertex " + std::to_string(kInvalidVid) +
+                     "; vertex ids must be below it"
+               : edge + " has weight " + std::to_string(e.w) +
+                     "; weights must be finite and non-negative");
   }
 }
 
@@ -427,8 +434,8 @@ class GraphSource {
 };
 
 /// The library front door: one call for cold, warm, and streamed parallel
-/// community detection. Validates `opts` and the edge weights of a
-/// materialized input (require_valid_weights), resolves the transport
+/// community detection. Validates `opts` and the edge ids and weights of
+/// a materialized input (require_valid_edges), resolves the transport
 /// (ParOptions::transport, overridable via PLV_TRANSPORT), runs the
 /// engine on opts.nranks ranks, and returns the full artifact — labels,
 /// per-level modularity/traffic, phase timers, and the transport that

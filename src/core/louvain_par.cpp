@@ -240,6 +240,7 @@ class RankEngine {
   /// mailbox instead of spinning on collectives), so no rank ever
   /// materializes the global edge list.
   void init_from_slice(const graph::EdgeList& slice, vid_t n) {
+    require_valid_edges(slice, "louvain");
     part_ = graph::Partition1D(opts_.partition, n, comm_.nranks());
     n_level_ = n;
     level_index_ = 0;
@@ -376,10 +377,11 @@ class RankEngine {
       comms_.ref(u) = CommInfo{strength_[l], 0.0, 1};
     }
     moves_.clear();
-    iters_since_rebuild_ = 0;
+    delta_since_full_ = 0;
     // What a full propagation costs, in records: one per In_Table entry,
     // summed over ranks. The per-iteration full-vs-delta decision compares
-    // the (allreduced) delta cost against this.
+    // the (allreduced) delta records since the last full propagation
+    // against this.
     full_prop_records_ = comm_.allreduce_sum(static_cast<std::uint64_t>(in_table_.size()));
     // A pinned (Session) frontier applies to the level it was seeded on;
     // coarser levels (and fresh inits) refine unrestricted. Active-vertex
@@ -416,12 +418,15 @@ class RankEngine {
   // -- STATE PROPAGATION (Algorithm 3) --------------------------------------
 
   /// Full rebuild: empties Out_Table and re-ships every In_Table entry
-  /// under its current label. Re-derives the Σtot request bookkeeping from
-  /// scratch, which also resets any floating-point drift the incremental
-  /// path accumulated on non-integer weights. The drain doubles as the Σin
-  /// accumulation pass: a record (v, c, w) with label(v) == c is exactly a
-  /// Σin contribution, so sin_acc_ is rebuilt from scratch here — fused
-  /// into the receive loop instead of a separate full table scan.
+  /// under its current label: the level's opening propagation, and every
+  /// later one refine's traffic rule calls for. Re-derives the Σtot
+  /// request bookkeeping from scratch and clears the floating-point dust
+  /// the patches left in Out_Table entries on non-integer weights (Σtot
+  /// itself stays delta-maintained for the whole level). The drain
+  /// doubles as the Σin accumulation pass: a record (v, c, w) with
+  /// label(v) == c is exactly a Σin contribution, so sin_acc_ is rebuilt
+  /// from scratch here — fused into the receive loop instead of a
+  /// separate full table scan.
   ///
   /// `expected` sizes the emptied Out_Table (DESIGN.md decision 8): the
   /// In_Table's count at a level's opening, and the live count at a later
@@ -451,8 +456,7 @@ class RankEngine {
       }
     });
     rebuild_sigma_requests();
-    iters_since_rebuild_ = 0;
-    drift_accum_ = 0.0;
+    delta_since_full_ = 0;
     // A rebuild re-ships every row, so the pruned frontier's "nothing
     // changed near me" premise is void: reactivate the whole partition.
     // (Pinned Session frontiers are exempt — their restriction is the
@@ -524,7 +528,6 @@ class RankEngine {
         }
       }
     });
-    ++iters_since_rebuild_;
   }
 
   // -- Σtot request bookkeeping ---------------------------------------------
@@ -745,7 +748,7 @@ class RankEngine {
       // the incremental carry (move-time adjustment + patch-drain deltas)
       // stays authoritative until the next fused scan or full rebuild.
       // That is exact in integer/dyadic-weight arithmetic; otherwise the
-      // rebuild cadence bounds the drift, exactly as it does for the
+      // next full rebuild clears the drift, exactly as it does for the
       // Out_Table weights themselves (DESIGN.md decision 8).
       for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- sequential bitmap sweep; the join search runs for active vertices only
         if (active_[l] == 0) continue;
@@ -1050,42 +1053,27 @@ class RankEngine {
       timers_.add(phase::kUpdateCommunity, update_s);
 
       // Full-vs-delta is a *global* decision (receivers must know whether
-      // to clear Out_Table), taken from allreduced inputs so every rank
-      // picks the same branch: rebuild when the cadence says so, when the
-      // accumulated churn since the last rebuild crosses the adaptive
-      // drift threshold (reacting to actual table turnover rather than a
-      // blind counter — the counter stays as the hard upper bound), or
-      // when the delta would ship at least as many records as a rebuild —
-      // the delta path never loses on traffic.
-      const double churn =
-          full_prop_records_ > 0
-              ? static_cast<double>(moved.delta_records) /
-                    static_cast<double>(full_prop_records_)
-              : 0.0;
-      // In pinned (Session) frontier mode the propagation is forced onto
-      // the delta path: a full rebuild costs O(|In_Table|) — the
-      // cold-start term the dirty-region re-refine exists to avoid — and
-      // only the patches grow the disturbed set. The flag is
-      // command-driven (identical on every rank), so the decision stays
-      // globally consistent. Active scheduling deliberately keeps cadence
-      // rebuilds live: a rebuild reactivates the whole partition, which is
-      // what bounds both the FP drift and the pruning approximation.
-      const RefinePlan& plan = opts_.refine;
-      const bool rebuild_due =
-          !pinned_ &&
-          ((plan.full_rebuild_every > 0 &&
-            iters_since_rebuild_ + 1 >= plan.full_rebuild_every) ||
-           (plan.adaptive_rebuild_drift > kAdaptiveRebuildOff &&
-            drift_accum_ + churn >= plan.adaptive_rebuild_drift));
-      const bool delta_wins =
-          delta_possible &&
-          (pinned_ || moved.delta_records < full_prop_records_);
+      // to clear Out_Table), taken from allreduced counts so every rank
+      // picks the same branch. One rule: rebuild once the delta records
+      // shipped since the level's last full propagation, plus this
+      // iteration's, would reach what a full propagation ships. A single
+      // delta as large as a rebuild therefore rebuilds, and at most one
+      // full propagation's worth of patches (with their floating-point
+      // drift on fractional weights) piles up between rebuilds, each of
+      // which also shrinks Out_Table to its live entries (DESIGN.md
+      // decision 8). A pinned (Session) frontier always ships deltas: a
+      // rebuild costs O(|In_Table|) — the cold-start term the dirty-region
+      // re-refine exists to avoid — and only the patches grow the
+      // disturbed set. The flag is command-driven, identical on every rank.
+      const bool full =
+          !delta_possible ||
+          (!pinned_ && delta_since_full_ + moved.delta_records >= full_prop_records_);
       t.reset();
       const std::uint64_t sent_before = comm_.stats().records_sent;
-      if (rebuild_due || !delta_wins) {
-        state_propagation_full(out_table_.size());  // resets drift_accum_
+      if (full) {
+        state_propagation_full(out_table_.size());  // resets delta_since_full_
       } else {
-        drift_accum_ += churn;
+        delta_since_full_ += moved.delta_records;
         state_propagation_delta();
       }
       const std::uint64_t prop_sent = comm_.stats().records_sent - sent_before;
@@ -1240,8 +1228,10 @@ class RankEngine {
 
   // Moves of the current iteration, replayed by the delta propagation.
   std::vector<Move> moves_;
-  int iters_since_rebuild_{0};
+  // Records a full propagation ships, and the delta records shipped since
+  // the level's last one; both global, so identical on every rank.
   std::uint64_t full_prop_records_{0};
+  std::uint64_t delta_since_full_{0};
 
   // Shared frontier infrastructure. While restricted_ is on, only vertices
   // with a set active_ bit may move, and the delta-propagation drain sets
@@ -1266,11 +1256,6 @@ class RankEngine {
   // Level counter for threshold scaling: 0 on every fresh ingestion,
   // incremented by each reconstruction.
   int level_index_{0};
-  // Accumulated fractional Out_Table turnover since the last full rebuild
-  // (Σ delta_records / full_prop_records); drives the adaptive rebuild
-  // trigger. Built from allreduced tallies only, so it is identical on
-  // every rank.
-  double drift_accum_{0.0};
 
   // Persistent propagation aggregator: its per-destination chunks are
   // reacquired from the pool across iterations and levels instead of
@@ -1651,6 +1636,7 @@ void session_rank_body(pml::Comm& comm, SessionShared& shared) {
     // a Session patches its replica in place across batches, so every rank
     // must hold the materialized list.
     const graph::EdgeList slice = (*shared.init_stream)(me, nranks);
+    require_valid_edges(slice, "Session");
     const std::vector<Edge> mine(slice.begin(), slice.end());
     for (const Edge& e : comm.allgatherv(mine)) edges.add(e.u, e.v, e.w);
   } else {
@@ -1789,7 +1775,7 @@ void session_rank_body(pml::Comm& comm, SessionShared& shared) {
     // Incremental apply: patch the resident In_Table in place — the same
     // retraction/assertion idea the Out_Table runs per iteration, applied
     // to the level-0 topology — then re-refine from the previous epoch's
-    // labels, restricted to the disturbed frontier when configured.
+    // labels, restricted to the disturbed frontier.
     const graph::Partition1D part(opts.partition, new_n, nranks);
     const auto patch = [&](const graph::EdgeList& batch, bool insert) {
       for (const Edge& e : batch) {
@@ -1834,7 +1820,7 @@ void session_rank_body(pml::Comm& comm, SessionShared& shared) {
       seeds.push_back(e.u);
       seeds.push_back(e.v);
     }
-    publish(cmd.seq, detect(&warm, opts.streaming.frontier ? &seeds : nullptr), true);
+    publish(cmd.seq, detect(&warm, &seeds), true);
   }
 }
 
@@ -1852,9 +1838,9 @@ Result louvain(const GraphSource& graph, const core::ParOptions& opts) {
   if (graph.edges() == nullptr) {
     throw std::invalid_argument("louvain: GraphSource carries no edges and no stream");
   }
-  require_valid_weights(*graph.edges(), "louvain");
+  require_valid_edges(*graph.edges(), "louvain");
   if (graph.delta() != nullptr) {
-    require_valid_weights(graph.delta()->inserts, "louvain");
+    require_valid_edges(graph.delta()->inserts, "louvain");
     // The cold-baseline view of a streamed update: materialize the updated
     // list, then run cold on it — what Session::apply must match under the
     // deterministic streaming plan.

@@ -10,9 +10,9 @@
 //               each neighboring *community* c. Built from the In_Table by
 //               the level's first STATE PROPAGATION, then maintained
 //               *incrementally*: moved vertices ship retraction/assertion
-//               pairs that patch the table in place, with full rebuilds on
-//               a configurable cadence (ParOptions::full_rebuild_every)
-//               and whenever a rebuild would ship fewer records.
+//               pairs that patch the table in place. A full rebuild
+//               replaces the patches once the delta records shipped
+//               since the last one would reach a rebuild's own count.
 //
 // One outer level = STATE PROPAGATION → REFINE (inner loop: FIND BEST
 // COMMUNITY, threshold ΔQ̂ selection, UPDATE COMMUNITY INFORMATION,

@@ -31,21 +31,6 @@ inline constexpr std::size_t kAutoAggregatorCapacity = 0;
 /// list (the historical unbounded-pool behavior).
 inline constexpr std::size_t kUnboundedChunkPool = 0;
 
-/// RefinePlan::full_rebuild_every — rebuild the Out_Table from scratch in
-/// every inner iteration (the legacy pre-delta behavior; the ablation
-/// baseline for the incremental-maintenance benches).
-inline constexpr int kRebuildEveryIteration = 1;
-
-/// RefinePlan::full_rebuild_every — never schedule a cadence rebuild; ship
-/// retraction/assertion deltas only (the traffic-based fallback to a full
-/// rebuild still applies when the delta would be larger).
-inline constexpr int kNeverRebuild = 0;
-
-/// RefinePlan::adaptive_rebuild_drift — disable the churn-driven rebuild
-/// trigger; only the fixed cadence and the traffic fallback schedule full
-/// rebuilds.
-inline constexpr double kAdaptiveRebuildOff = 0.0;
-
 /// StreamingPlan::rebuild_every_batches — run a full cold rebuild inside
 /// the resident fleet on *every* Session::apply. In this mode an apply is
 /// exactly a cold run on the updated graph, so its labels are
@@ -120,26 +105,6 @@ struct RefinePlan {
   double p2{0.3};
   std::size_t gain_histogram_bins{512};
 
-  // Out_Table maintenance cadence: a full state-propagation rebuild every
-  // N inner iterations, with incremental retraction/assertion deltas in
-  // between. kRebuildEveryIteration restores the legacy always-rebuild
-  // behavior; kNeverRebuild ships deltas only. Independent of cadence, an
-  // iteration falls back to a full rebuild whenever the delta would ship
-  // at least as many records — so the delta path never loses on traffic.
-  // On integer-weight graphs the two paths are bit-identical; on
-  // irrational weights the cadence bounds floating-point drift (see
-  // DESIGN.md).
-  int full_rebuild_every{16};
-
-  // Adaptive rebuild trigger: a full rebuild also fires when the
-  // accumulated delta churn since the last rebuild — Σ delta_records /
-  // full_prop_records, i.e. fractional Out_Table weight turnover — crosses
-  // this threshold. Rebuilds react to actual drift pressure instead of a
-  // blind iteration count; `full_rebuild_every` stays as the hard upper
-  // bound. Derived from allreduced tallies, so every rank fires on the
-  // same iteration. kAdaptiveRebuildOff (0) disables the trigger.
-  double adaptive_rebuild_drift{2.0};
-
   // Resolution γ of generalized modularity (1 = Newman's Eq. 3). Larger
   // values favor more, smaller communities.
   double resolution{1.0};
@@ -154,8 +119,8 @@ struct RefinePlan {
   // iteration or absorbed a retraction/assertion patch (i.e. a neighbor's
   // community changed — the wakeup rides the existing PropMsg stream) are
   // rescanned by FIND; everyone else keeps gain 0 and cannot move. A full
-  // cadence/traffic rebuild reactivates the whole partition, so the
-  // incremental-vs-rebuilt exactness story is unchanged.
+  // Out_Table rebuild (DESIGN.md decision 8) reactivates the whole
+  // partition, so where the rebuilds fall moves this option's labels.
   bool active_scheduling{false};
 
   // Scan-strategy switch for active scheduling: when the live frontier is
@@ -209,31 +174,15 @@ struct RefinePlan {
     plan.tolerance_decay = 10.0;
     return plan;
   }
-
-  /// Preset: bit-reproducible across maintenance paths — the Out_Table is
-  /// rebuilt every iteration (no incremental drift even on irrational
-  /// weights) and the churn trigger is off. The slowest, most auditable
-  /// configuration; what the equivalence suites pin.
-  [[nodiscard]] static RefinePlan deterministic() {
-    RefinePlan plan;
-    plan.full_rebuild_every = kRebuildEveryIteration;
-    plan.adaptive_rebuild_drift = kAdaptiveRebuildOff;
-    return plan;
-  }
-
-  /// Preset: lowest-traffic steady state — no cadence rebuilds at all;
-  /// only the churn trigger and the records-shipped fallback schedule
-  /// them. Results stay bit-identical on integer-weight graphs.
-  [[nodiscard]] static RefinePlan fast() {
-    RefinePlan plan;
-    plan.full_rebuild_every = kNeverRebuild;
-    return plan;
-  }
 };
 
 /// The streaming half of the configuration — how plv::Session turns
 /// EdgeDelta batches into new label epochs. Ignored by one-shot
-/// plv::louvain runs.
+/// plv::louvain runs. An incremental apply re-refines only the disturbed
+/// frontier: the endpoints of changed edges, grown by the patches their
+/// moves ship. It needs the cyclic partition (block ownership shifts as
+/// the vertex count grows), so under the block partition every apply
+/// runs cold.
 struct StreamingPlan {
   // Cold-rebuild cadence, in batches: every Nth Session::apply discards
   // the warm state and re-runs from scratch on the updated edge list —
@@ -242,16 +191,6 @@ struct StreamingPlan {
   // cold run (the exact-equivalence mode); kNeverColdRebuild (0) never
   // schedules one.
   int rebuild_every_batches{16};
-
-  // Dirty-region re-refinement: seed the disturbed-vertex frontier from
-  // the endpoints of changed edges and let only frontier vertices move,
-  // growing the frontier through the retraction/assertion patches their
-  // moves ship (Lu & Halappanavar's disturbed set, Sahu's pruning).
-  // false = warm-seeded but unrestricted refinement between cold
-  // rebuilds. Requires the cyclic partition (vertex ownership must not
-  // shift as the vertex count grows); Session enforces that at
-  // construction.
-  bool frontier{true};
 
   // Batches touching more than this fraction of the current edge list
   // take the cold path regardless of cadence — a graph-wide rewrite
@@ -264,7 +203,6 @@ struct StreamingPlan {
   [[nodiscard]] static StreamingPlan deterministic() {
     StreamingPlan plan;
     plan.rebuild_every_batches = kColdRebuildEveryBatch;
-    plan.frontier = false;
     return plan;
   }
 
@@ -273,7 +211,6 @@ struct StreamingPlan {
   [[nodiscard]] static StreamingPlan fast() {
     StreamingPlan plan;
     plan.rebuild_every_batches = kNeverColdRebuild;
-    plan.frontier = true;
     return plan;
   }
 };
@@ -357,24 +294,6 @@ struct ParOptions {
   RefinePlan refine;
   StreamingPlan streaming;
 
-  /// Preset: the most auditable configuration — deterministic refine plan
-  /// (rebuild every iteration) plus cold-rebuild-every-batch streaming.
-  [[nodiscard]] static ParOptions deterministic() {
-    ParOptions opts;
-    opts.refine = RefinePlan::deterministic();
-    opts.streaming = StreamingPlan::deterministic();
-    return opts;
-  }
-
-  /// Preset: lowest latency — delta-only refine plan plus frontier
-  /// streaming with no cadence rebuilds.
-  [[nodiscard]] static ParOptions fast() {
-    ParOptions opts;
-    opts.refine = RefinePlan::fast();
-    opts.streaming = StreamingPlan::fast();
-    return opts;
-  }
-
   /// Rejects inconsistent knob combinations with messages that name the
   /// offending field, the offered value, and the accepted range. Called
   /// by every core entry point before any rank is spawned, so a bad
@@ -424,17 +343,6 @@ struct ParOptions {
     if (aggregator_capacity > kMaxAggregatorCapacity) {
       fail("aggregator_capacity " + std::to_string(aggregator_capacity) +
            " would overflow the chunk byte size; use kAutoAggregatorCapacity (0) to auto-size");
-    }
-    if (refine.full_rebuild_every < 0) {
-      fail("full_rebuild_every must be >= 0, got " +
-           std::to_string(refine.full_rebuild_every) +
-           " (kNeverRebuild = 0 ships deltas only, kRebuildEveryIteration = 1 always rebuilds)");
-    }
-    // Negated so NaN is rejected too.
-    if (!(refine.adaptive_rebuild_drift >= 0.0)) {
-      fail("adaptive_rebuild_drift must be >= 0, got " +
-           std::to_string(refine.adaptive_rebuild_drift) +
-           " (kAdaptiveRebuildOff = 0 disables the churn-driven rebuild trigger)");
     }
     if (streaming.rebuild_every_batches < 0) {
       fail("streaming.rebuild_every_batches must be >= 0, got " +

@@ -15,13 +15,6 @@ using core::detail::SessionShared;
 Session::Session(const GraphSource& source, const core::ParOptions& opts) {
   source.require_live("Session");
   opts.validate();
-  if (opts.streaming.frontier && opts.partition == graph::PartitionKind::kBlock) {
-    throw std::invalid_argument(
-        "Session: StreamingPlan::frontier requires the cyclic partition — block "
-        "ownership shifts when the vertex count grows, which would invalidate the "
-        "resident In_Table slices (set streaming.frontier = false or "
-        "partition = kCyclic)");
-  }
   if (opts.transport == pml::TransportKind::kTcp && opts.tcp_rank > 0) {
     throw std::invalid_argument(
         "Session: a multi-host tcp fleet is driven from its rank-0 process; this "
@@ -38,8 +31,8 @@ Session::Session(const GraphSource& source, const core::ParOptions& opts) {
     if (source.edges() == nullptr) {
       throw std::invalid_argument("Session: GraphSource carries no edges and no stream");
     }
-    require_valid_weights(*source.edges(), "Session");
-    if (source.delta() != nullptr) require_valid_weights(source.delta()->inserts, "Session");
+    require_valid_edges(*source.edges(), "Session");
+    if (source.delta() != nullptr) require_valid_edges(source.delta()->inserts, "Session");
     shared_->init_edges = *source.edges();  // owned replica from here on
     if (source.delta() != nullptr) {
       shared_->init_n =
@@ -109,7 +102,7 @@ std::shared_ptr<const LabelSnapshot> Session::apply(const EdgeDelta& batch) {
   if (closed_) throw std::logic_error("Session: apply() after close()");
   // Rejected here, before the fleet sees the batch, so the session stays
   // exactly as it was.
-  require_valid_weights(batch.inserts, "Session::apply");
+  require_valid_edges(batch.inserts, "Session::apply");
   const std::uint64_t seq = submitted_ + 1;
   {
     plv::MutexLock lock(shared_->mu);

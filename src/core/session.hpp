@@ -6,11 +6,11 @@
 // its replica of the edge list, its slice of the level-0 In_Table, and
 // the current composed partition. apply(EdgeDelta) patches the In_Table
 // in place and re-refines only the disturbed region (StreamingPlan
-// controls the frontier and the cold-rebuild cadence); snapshot() hands
-// out immutable epoch-stamped partitions that readers keep for as long
-// as they like, without ever blocking an in-flight apply. A batch that
-// removes an edge the graph does not hold, or inserts a negative, NaN or
-// infinite weight, is rejected whole: apply() throws
+// controls the cold-rebuild cadence); snapshot() hands out immutable
+// epoch-stamped partitions that readers keep for as long as they like,
+// without ever blocking an in-flight apply. A batch that removes an edge
+// the graph does not hold, or inserts a negative, NaN or infinite weight
+// or the vertex id kInvalidVid, is rejected whole: apply() throws
 // std::invalid_argument, the fleet stays up, and the next valid batch
 // publishes the next epoch with no gap.
 //
@@ -109,10 +109,11 @@ class Session {
   /// the Session copies the edge list (or gathers the stream's slices)
   /// into fleet-resident state.
   ///
-  /// Requirements checked here: StreamingPlan::frontier needs the cyclic
-  /// partition (block ownership shifts with the vertex count), a
-  /// multi-host TCP fleet can only be driven from its rank-0 process, and
-  /// edge weights must be finite and non-negative.
+  /// Requirements checked here: a multi-host TCP fleet can only be driven
+  /// from its rank-0 process, edge weights must be finite and
+  /// non-negative, and vertex ids must be below kInvalidVid (a streamed
+  /// source's slices are checked inside the fleet). Under the block
+  /// partition every apply runs cold (see StreamingPlan).
   Session(const GraphSource& source, const core::ParOptions& opts);
 
   /// Shuts the fleet down (close()) if still running.
@@ -124,7 +125,8 @@ class Session {
   /// Applies one batch of edge updates and blocks until the new epoch is
   /// published, returning its snapshot. A batch with a removal that names
   /// no existing edge record, or an insert whose weight is negative, NaN
-  /// or infinite, is rejected whole: apply throws std::invalid_argument,
+  /// or infinite or that names vertex kInvalidVid, is rejected whole:
+  /// apply throws std::invalid_argument,
   /// the graph and the served snapshot stay as they were, and the next
   /// valid batch publishes the previous epoch + 1.
   /// Any other failure kills the fleet: apply rethrows it, and after that

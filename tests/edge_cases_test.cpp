@@ -143,14 +143,14 @@ graph::EdgeList two_triangles_with(double w) {
   return e;
 }
 
-/// Runs `fn`, expecting std::invalid_argument naming edge (0, 1).
-template <typename Fn>
-void expect_bad_weight_rejected(Fn&& fn, double w) {
+/// Runs `fn`, expecting an exception of type E whose message names `edge`.
+template <typename E, typename Fn>
+void expect_rejected_naming(Fn&& fn, const std::string& edge) {
   try {
     fn();
-    ADD_FAILURE() << "weight " << w << " was accepted";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("(0, 1)"), std::string::npos) << e.what();
+    ADD_FAILURE() << edge << " was accepted";
+  } catch (const E& e) {
+    EXPECT_NE(std::string(e.what()).find(edge), std::string::npos) << e.what();
   }
 }
 
@@ -161,18 +161,46 @@ TEST(EdgeCases, NegativeNanAndInfiniteWeightsAreRejectedBeforeAnyRankStarts) {
   for (const double w : {std::nan(""), inf, -inf, -1.0}) {
     SCOPED_TRACE(w);
     const graph::EdgeList bad = two_triangles_with(w);
-    expect_bad_weight_rejected(
-        [&] { (void)plv::louvain(GraphSource::from_edges(bad), par2()); }, w);
-    expect_bad_weight_rejected(
-        [&] { (void)plv::louvain(GraphSource::from_edges_warm(bad, seed), par2()); }, w);
+    const auto expect_rejected = [](auto&& fn) {
+      expect_rejected_naming<std::invalid_argument>(fn, "(0, 1)");
+    };
+    expect_rejected([&] { (void)plv::louvain(GraphSource::from_edges(bad), par2()); });
+    expect_rejected([&] { (void)plv::louvain(GraphSource::from_edges_warm(bad, seed), par2()); });
     const EdgeDelta none;
-    expect_bad_weight_rejected(
-        [&] { (void)plv::louvain(GraphSource::from_deltas(bad, none), par2()); }, w);
+    expect_rejected([&] { (void)plv::louvain(GraphSource::from_deltas(bad, none), par2()); });
     EdgeDelta bad_insert;
     bad_insert.inserts.add(0, 1, w);
-    expect_bad_weight_rejected(
-        [&] { (void)plv::louvain(GraphSource::from_deltas(good, bad_insert), par2()); }, w);
+    expect_rejected(
+        [&] { (void)plv::louvain(GraphSource::from_deltas(good, bad_insert), par2()); });
   }
+}
+
+TEST(EdgeCases, InvalidVertexIdIsRejectedBeforeAnyRankStarts) {
+  // kInvalidVid is the engine's "no vertex" sentinel, and one past it
+  // wraps the vertex count to 0. A materialized list or a delta's inserts
+  // naming it are refused on the caller's thread; a streamed slice is
+  // refused inside the fleet, which fails with the same message (from a
+  // forked rank it arrives as a RemoteRankError).
+  const graph::EdgeList good = two_triangles_with(1.0);
+  graph::EdgeList bad = good;
+  bad.add(2, kInvalidVid);
+  const std::string edge = "(2, " + std::to_string(kInvalidVid) + ")";
+  const auto expect_rejected = [&](auto&& fn) {
+    expect_rejected_naming<std::invalid_argument>(fn, edge);
+  };
+  expect_rejected([&] { (void)plv::louvain(GraphSource::from_edges(bad), par2()); });
+  expect_rejected([&] { (void)plv::louvain(GraphSource::from_edges(bad, 8), par2()); });
+  const std::vector<vid_t> seed = {0, 0, 0, 1, 1, 1};
+  expect_rejected([&] { (void)plv::louvain(GraphSource::from_edges_warm(bad, seed), par2()); });
+  EdgeDelta bad_insert;
+  bad_insert.inserts.add(2, kInvalidVid, 1.0);
+  expect_rejected(
+      [&] { (void)plv::louvain(GraphSource::from_deltas(good, bad_insert), par2()); });
+  const EdgeSliceFn bad_slices = [&](int rank, int nranks) {
+    return rank == nranks - 1 ? bad : graph::EdgeList{};
+  };
+  expect_rejected_naming<std::exception>(
+      [&] { (void)plv::louvain(GraphSource::from_stream(bad_slices, 6), par2()); }, edge);
 }
 
 TEST(EdgeCases, ZeroWeightsStayLegal) {

@@ -97,28 +97,6 @@ TEST(OptionsValidate, RejectsOverflowingAggregatorCapacity) {
   EXPECT_NO_THROW(opts.validate());
 }
 
-TEST(OptionsValidate, RejectsNegativeRebuildCadence) {
-  ParOptions opts;
-  opts.refine.full_rebuild_every = -1;
-  expect_rejected(opts, "full_rebuild_every");
-  opts.refine.full_rebuild_every = kNeverRebuild;
-  EXPECT_NO_THROW(opts.validate());
-  opts.refine.full_rebuild_every = kRebuildEveryIteration;
-  EXPECT_NO_THROW(opts.validate());
-}
-
-TEST(OptionsValidate, RejectsNegativeOrNanAdaptiveRebuildDrift) {
-  ParOptions opts;
-  opts.refine.adaptive_rebuild_drift = -0.5;
-  expect_rejected(opts, "adaptive_rebuild_drift");
-  opts.refine.adaptive_rebuild_drift = std::nan("");
-  expect_rejected(opts, "adaptive_rebuild_drift");
-  opts.refine.adaptive_rebuild_drift = kAdaptiveRebuildOff;
-  EXPECT_NO_THROW(opts.validate());
-  opts.refine.adaptive_rebuild_drift = 2.0;
-  EXPECT_NO_THROW(opts.validate());
-}
-
 TEST(OptionsValidate, RejectsNonFiniteResolution) {
   ParOptions opts;
   opts.refine.resolution = 0.0;
@@ -343,17 +321,17 @@ TEST(OptionsValidate, RejectsOutOfRangeMaxDeltaFraction) {
 }
 
 TEST(OptionsPlans, PresetsValidateAndPinTheirContracts) {
-  // deterministic(): every batch is a cold rebuild, frontier off —
-  // bit-identical to one-shot runs. fast(): never rebuild cold, frontier
-  // on — lowest latency.
-  EXPECT_NO_THROW(ParOptions::deterministic().validate());
-  EXPECT_NO_THROW(ParOptions::fast().validate());
+  // StreamingPlan::deterministic(): every batch is a cold rebuild —
+  // bit-identical to one-shot runs. fast(): never rebuild cold — lowest
+  // latency.
+  for (const StreamingPlan& plan : {StreamingPlan::deterministic(), StreamingPlan::fast()}) {
+    ParOptions opts;
+    opts.streaming = plan;
+    EXPECT_NO_THROW(opts.validate());
+  }
   EXPECT_EQ(StreamingPlan::deterministic().rebuild_every_batches,
             kColdRebuildEveryBatch);
-  EXPECT_FALSE(StreamingPlan::deterministic().frontier);
   EXPECT_EQ(StreamingPlan::fast().rebuild_every_batches, kNeverColdRebuild);
-  EXPECT_TRUE(StreamingPlan::fast().frontier);
-  EXPECT_EQ(RefinePlan::deterministic().adaptive_rebuild_drift, kAdaptiveRebuildOff);
 }
 
 TEST(OptionsPlans, CopiesAreIndependentValues) {

@@ -1,18 +1,18 @@
 // plv::Session — the streaming front door. The contract under test:
 //
-//  * deterministic plan (rebuild_every_batches = 1, frontier off): every
-//    apply() is bit-identical to a cold plv::louvain() of the patched
-//    edge list — on every transport backend;
+//  * deterministic plan (rebuild_every_batches = 1): every apply() is
+//    bit-identical to a cold plv::louvain() of the patched edge list — on
+//    every transport backend, and over a seeded fuzz of batch shapes;
 //  * fast plan (pure incremental): applies are flagged incremental, stay
 //    close to the cold partition in quality, and the reported Q always
 //    matches a recomputation on the true current graph;
 //  * snapshots are immutable versioned values: epoch-monotone, readable
 //    concurrently with applies, and an old snapshot never changes;
 //  * a batch that removes an absent edge, or inserts a negative, NaN or
-//    infinite weight, is rejected whole: apply() throws
-//    std::invalid_argument, the fleet and the served snapshot stay as
-//    they were, and the next valid batch publishes the next epoch;
-//    apply_edge_delta itself is all or nothing.
+//    infinite weight or the vertex id kInvalidVid, is rejected whole:
+//    apply() throws std::invalid_argument, the fleet and the served
+//    snapshot stay as they were, and the next valid batch publishes the
+//    next epoch; apply_edge_delta itself is all or nothing.
 #include "core/session.hpp"
 
 #include <gtest/gtest.h>
@@ -343,19 +343,30 @@ TEST(Session, ExpiredGraphSourceIsRejected) {
 }
 
 TEST(Session, FrontierRequiresCyclicPartition) {
+  // The disturbed-vertex frontier needs the cyclic partition (block
+  // ownership shifts as the vertex count grows), so a block-partition
+  // Session runs every apply cold: bit-identical to a one-shot run.
   pml::ScopedTransportEnv park;
-  graph::EdgeList e;
-  e.add(0, 1);
-  auto opts = session_opts(1, core::StreamingPlan::fast());
+  const auto g = gen::lfr({.n = 300, .mu = 0.3, .seed = 112});
+  auto opts = session_opts(2, core::StreamingPlan::fast());
   opts.partition = graph::PartitionKind::kBlock;
-  EXPECT_THROW(Session(GraphSource::from_edges(e, 2), opts), std::invalid_argument);
-  // Frontier off: block partitions are fine (every apply runs cold).
-  opts.streaming.frontier = false;
-  Session session(GraphSource::from_edges(e, 2), opts);
-  EdgeDelta delta;
-  delta.inserts.add(0, 1, 1.0);
-  const auto snap = session.apply(delta);
-  EXPECT_FALSE(snap->incremental);
+  Session session(GraphSource::from_edges(g.edges, 300), opts);
+  graph::EdgeList mirror = g.edges;
+  vid_t n = 300;
+  EdgeDelta grow;  // new vertices move every block boundary
+  grow.n_vertices = 305;
+  grow.inserts.add(0, 302, 1.0);
+  EdgeDelta churn;
+  churn.removals.add(grow.inserts.edges().front().u, grow.inserts.edges().front().v, 1.0);
+  churn.inserts.add(5, 250, 1.0);
+  for (const EdgeDelta& delta : {grow, churn}) {
+    n = std::max(n, apply_edge_delta(mirror, delta));
+    const auto snap = session.apply(delta);
+    EXPECT_FALSE(snap->incremental);
+    const auto cold = louvain(GraphSource::from_edges(mirror, n), opts);
+    EXPECT_EQ(snap->labels, cold.final_labels);
+    EXPECT_EQ(snap->modularity, cold.final_modularity);
+  }
 }
 
 TEST(Session, BadRemovalFailsTheApplyButKeepsServingSnapshots) {
@@ -438,6 +449,60 @@ TEST(Session, BadInsertWeightFailsTheApplyButKeepsServingSnapshots) {
   const auto cold = louvain(GraphSource::from_edges(mirror, 200), opts);
   EXPECT_EQ(next->labels, cold.final_labels);
   EXPECT_EQ(next->modularity, cold.final_modularity);
+  session.close();
+}
+
+/// Runs `fn`, expecting an exception of type E whose message names `edge`.
+template <typename E, typename Fn>
+void expect_rejected_naming(Fn&& fn, const std::string& edge) {
+  try {
+    fn();
+    ADD_FAILURE() << edge << " was accepted";
+  } catch (const E& e) {
+    EXPECT_NE(std::string(e.what()).find(edge), std::string::npos) << e.what();
+  }
+}
+
+TEST(Session, InvalidVertexIdIsRejectedAndTheSessionStaysUsable) {
+  // kInvalidVid is the engine's "no vertex" sentinel, and one past it
+  // wraps the vertex count to 0: an edge naming it is refused before the
+  // fleet sees it, and a streamed slice carrying it fails the fleet with
+  // the same message.
+  pml::ScopedTransportEnv park;
+  const auto opts = session_opts(2, core::StreamingPlan::fast());
+  graph::EdgeList triangle;
+  triangle.add(0, 1);
+  triangle.add(1, 2);
+  triangle.add(0, 2);
+  graph::EdgeList bad = triangle;
+  bad.add(2, kInvalidVid);
+  const std::string bad_edge = "(2, " + std::to_string(kInvalidVid) + ")";
+  expect_rejected_naming<std::invalid_argument>(
+      [&] { Session s(GraphSource::from_edges(bad), opts); }, bad_edge);
+  EdgeDelta bad_insert;
+  bad_insert.inserts.add(2, kInvalidVid, 1.0);
+  expect_rejected_naming<std::invalid_argument>(
+      [&] { Session s(GraphSource::from_deltas(triangle, bad_insert), opts); }, bad_edge);
+  const EdgeSliceFn bad_slices = [&](int rank, int nranks) {
+    return rank == nranks - 1 ? bad : graph::EdgeList{};
+  };
+  expect_rejected_naming<std::exception>(
+      [&] { Session s(GraphSource::from_stream(bad_slices, 3), opts); }, bad_edge);
+
+  graph::EdgeList path = triangle;
+  path.add(2, 3);
+  Session session(GraphSource::from_edges(path), opts);
+  const auto good = session.snapshot();
+  EdgeDelta bad_batch;
+  bad_batch.inserts.add(3, kInvalidVid, 1.0);
+  expect_rejected_naming<std::invalid_argument>([&] { (void)session.apply(bad_batch); },
+                                                "(3, " + std::to_string(kInvalidVid) + ")");
+  EXPECT_EQ(session.snapshot(), good);
+  EdgeDelta valid;
+  valid.inserts.add(3, 4, 1.0);
+  const auto next = session.apply(valid);
+  EXPECT_EQ(next->epoch, good->epoch + 1);
+  EXPECT_EQ(next->n_vertices, 5u);
   session.close();
 }
 
@@ -568,6 +633,78 @@ TEST(ApplyEdgeDelta, OnePassMatchesSequentialReferenceOnRandomBatches) {
   // Both outcomes must be well represented for the comparison to mean much.
   EXPECT_GT(applied, 400);
   EXPECT_GT(rejected, 400);
+}
+
+// Seeded EdgeDelta fuzz for the Session's exactness contract. One stream
+// of 12 batches mixes removals of original and of inserted records,
+// parallel edges, self-loops, inserts that add vertices, an n_vertices
+// floor, an empty batch, and integer and tenths weights. A
+// deterministic-plan Session must publish, every epoch, exactly
+// plv::louvain of a mirror list kept with apply_edge_delta; a fast-plan
+// Session fed the same stream must report the mirror's modularity of its
+// own labels (within 1e-9), valid labels and consecutive epochs.
+TEST(SessionFuzz, EveryEpochMatchesTheMirrorOnThreadAndProc) {
+  pml::ScopedTransportEnv park;
+  const vid_t n0 = 300;
+  const auto g = gen::lfr({.n = n0, .mu = 0.3, .seed = 113});
+  for (const auto kind : {pml::TransportKind::kThread, pml::TransportKind::kProc}) {
+    if (!pml::transport_supported_in_this_build(kind)) continue;
+    SCOPED_TRACE(pml::transport_kind_name(kind));
+    const auto exact_opts = session_opts(2, core::StreamingPlan::deterministic(), kind);
+    Session exact(GraphSource::from_edges(g.edges, n0), exact_opts);
+    Session fast(GraphSource::from_edges(g.edges, n0),
+                 session_opts(2, core::StreamingPlan::fast(), kind));
+    graph::EdgeList mirror = g.edges;
+    vid_t n = n0;
+    std::vector<Edge> originals(g.edges.begin(), g.edges.end());
+    std::vector<Edge> inserted;  // live inserted records
+    Xoshiro256 rng(114);
+    for (std::uint64_t b = 1; b <= 12; ++b) {
+      SCOPED_TRACE("batch " + std::to_string(b));
+      EdgeDelta delta;
+      if (b != 6) {  // batch 6 stays empty
+        const auto remove_from = [&](std::vector<Edge>& pool) {
+          const std::size_t i = rng.next_below(pool.size());
+          delta.removals.add(pool[i].u, pool[i].v, pool[i].w);
+          pool[i] = pool.back();
+          pool.pop_back();
+        };
+        const auto insert = [&](vid_t u, vid_t v) {
+          const auto step = static_cast<weight_t>(1 + rng.next_below(4));
+          const Edge e{u, v, b % 2 == 0 ? step / 10.0 : step};  // tenths on even batches
+          delta.inserts.add(e.u, e.v, e.w);
+          inserted.push_back(e);
+        };
+        for (int i = 0; i < 4; ++i) remove_from(originals);
+        for (int i = 0; i < 2 && !inserted.empty(); ++i) remove_from(inserted);
+        for (int i = 0; i < 6; ++i) {
+          insert(static_cast<vid_t>(rng.next_below(n)), static_cast<vid_t>(rng.next_below(n)));
+        }
+        const Edge twin = originals[rng.next_below(originals.size())];
+        insert(twin.u, twin.v);  // a parallel edge
+        const auto loop = static_cast<vid_t>(rng.next_below(n));
+        insert(loop, loop);  // a self-loop
+        if (b % 3 == 0) insert(static_cast<vid_t>(rng.next_below(n)), n + 1);  // two new vertices
+        if (b == 8) delta.n_vertices = n + 5;  // isolated newcomers
+      }
+      n = std::max(n, apply_edge_delta(mirror, delta));
+
+      const auto cold = louvain(GraphSource::from_edges(mirror, n), exact_opts);
+      const auto snap = exact.apply(delta);
+      EXPECT_EQ(snap->epoch, b);
+      EXPECT_EQ(snap->labels, cold.final_labels);
+      EXPECT_EQ(snap->modularity, cold.final_modularity);
+
+      const auto inc = fast.apply(delta);
+      EXPECT_EQ(inc->epoch, b);
+      ASSERT_EQ(inc->labels.size(), static_cast<std::size_t>(n));
+      for (vid_t c : inc->labels) ASSERT_LT(c, inc->num_communities);
+      EXPECT_NEAR(inc->modularity,
+                  metrics::modularity(graph::Csr::from_edges(mirror, n), inc->labels), 1e-9);
+    }
+    exact.close();
+    fast.close();
+  }
 }
 
 TEST(Session, ApplyAfterCloseThrows) {
