@@ -11,6 +11,7 @@
 #include "common/histogram.hpp"
 #include "common/sync.hpp"
 #include "common/timer.hpp"
+#include "core/row_store.hpp"
 #include "core/session.hpp"
 #include "hashing/edge_table.hpp"
 #include "pml/aggregator.hpp"
@@ -95,16 +96,6 @@ struct CommInfo {
   std::int64_t members{0};
 };
 
-/// One (community, weight) entry of a vertex's Out_Table row, mirrored by
-/// the active-scheduling row index (RankEngine::rows_): the frontier scan
-/// walks these instead of the full table, so the weight is carried here —
-/// maintained by the same insert/retract sequence as the table slot, hence
-/// bitwise the same value.
-struct RowEntry {
-  vid_t c;
-  weight_t w;
-};
-
 /// Fills `table` with rank `me`'s slice of the level-0 In_Table: one
 /// ((v, u), w) record per in-edge of an owned u, self-loops stored as
 /// A(u, u) = 2w. Shared by one-shot ingestion (RankEngine::init_from_edges)
@@ -139,7 +130,11 @@ class RankEngine {
         opts_(opts),
         part_(opts.partition, 0, comm.nranks()),
         in_table_(0, opts.table_max_load, opts.hash),
-        out_table_(0, opts.table_max_load, opts.hash),
+        out_([this](std::size_t l) {
+          return "row of vertex " +
+                 std::to_string(part_.to_global(comm_.rank(), static_cast<vid_t>(l))) +
+                 " at level " + std::to_string(level_index_);
+        }),
         prop_agg_(comm, opts.aggregator_capacity),
         sigma_reqs_(static_cast<std::size_t>(comm.nranks())) {
     comm_.set_chunk_pool_watermark(opts.chunk_pool_watermark);
@@ -277,7 +272,7 @@ class RankEngine {
 
     {
       ScopedPhase sp(timers_, phase::kStatePropagation);
-      state_propagation_full(in_table_.size() + 16);
+      state_propagation_full();
     }
     // Σin was accumulated by the propagation drain itself; only the
     // owner exchange and the reduction remain.
@@ -352,8 +347,9 @@ class RankEngine {
     for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- level setup, runs once per level
       label_[l] = part_.to_global(comm_.rank(), l);
     }
-    // CSR-style in-edge adjacency per owned vertex: the delta propagation
-    // walks exactly the moved vertices' rows instead of scanning In_Table.
+    // CSR-style in-edge adjacency per owned vertex: a full propagation
+    // walks every row and a delta one the moved vertices' rows, instead of
+    // scanning the In_Table's slots.
     adj_start_.assign(static_cast<std::size_t>(local_n) + 1, 0);
     in_table_.for_each([&](std::uint64_t key, weight_t w) {
       const vid_t u = key_lo(key);
@@ -370,6 +366,9 @@ class RankEngine {
       const std::size_t l = part_.to_local(key_lo(key));
       adj_[cursor[l]++] = InEdge{key_hi(key), w};
     });
+    // The Out_Table's rows take this layout: a row holds at most one entry
+    // per in-edge (DESIGN.md decision 5).
+    out_.reset(adj_start_);
 
     comms_.reset(static_cast<std::size_t>(local_n) + 1);
     for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- level setup, runs once per level
@@ -396,16 +395,10 @@ class RankEngine {
     restricted_ = false;
     prune_ = opts_.refine.active_scheduling &&
              n_level_ >= opts_.refine.min_frontier_vertices;
-    use_rows_ = prune_;
     if (prune_) {
       active_.assign(local_n, 1);
     } else {
       active_.clear();
-    }
-    if (use_rows_) {
-      rows_.assign(local_n, {});
-    } else {
-      rows_.clear();
     }
   }
 
@@ -417,44 +410,37 @@ class RankEngine {
 
   // -- STATE PROPAGATION (Algorithm 3) --------------------------------------
 
-  /// Full rebuild: empties Out_Table and re-ships every In_Table entry
-  /// under its current label: the level's opening propagation, and every
-  /// later one refine's traffic rule calls for. Re-derives the Σtot
-  /// request bookkeeping from scratch and clears the floating-point dust
-  /// the patches left in Out_Table entries on non-integer weights (Σtot
-  /// itself stays delta-maintained for the whole level). The drain
+  /// Full rebuild: empties the Out_Table and re-ships every in-edge under
+  /// its current label: the level's opening propagation, and every later
+  /// one refine's traffic rule calls for. Each record is appended to its
+  /// row, and every row is merged once all have arrived. Re-derives the
+  /// Σtot request bookkeeping from scratch and clears the floating-point
+  /// dust the patches left in Out_Table entries on non-integer weights
+  /// (Σtot itself stays delta-maintained for the whole level). The drain
   /// doubles as the Σin accumulation pass: a record (v, c, w) with
   /// label(v) == c is exactly a Σin contribution, so sin_acc_ is rebuilt
   /// from scratch here — fused into the receive loop instead of a
-  /// separate full table scan.
-  ///
-  /// `expected` sizes the emptied Out_Table (DESIGN.md decision 8): the
-  /// In_Table's count at a level's opening, and the live count at a later
-  /// rebuild, which re-creates exactly the live key set. Capacity — and
-  /// with it every scan order over the table — thus follows this level's
-  /// sizes alone: a coarse level never sweeps level 0's slots, and the
-  /// table shrinks as communities form.
-  void state_propagation_full(std::size_t expected) {
-    out_table_.reset(expected);
+  /// separate pass over the rows.
+  void state_propagation_full() {
+    out_.clear();
     sin_acc_.reset(label_.size() + 1);
-    if (use_rows_) {
-      for (auto& row : rows_) row.clear();
+    const vid_t local_n = static_cast<vid_t>(label_.size());
+    for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- a full propagation ships every in-edge; delta iterations ship only the movers'
+      for (std::size_t i = adj_start_[l]; i < adj_start_[static_cast<std::size_t>(l) + 1]; ++i) {
+        prop_agg_.push(part_.owner(adj_[i].v), PropMsg{adj_[i].v, label_[l], adj_[i].w});
+      }
     }
-    in_table_.for_each([&](std::uint64_t key, weight_t w) {
-      const vid_t v = key_hi(key);
-      const vid_t u = key_lo(key);  // owned
-      prop_agg_.push(part_.owner(v), PropMsg{v, label_[part_.to_local(u)], w});
-    });
     prop_agg_.flush_all_final();
     comm_.drain_streaming_finalized<PropMsg>([&](int /*src*/,
                                                  std::span<const PropMsg> msgs) {
       for (const PropMsg& m : msgs) {
         const vid_t lv = part_.to_local(m.v);
-        const bool fresh = out_table_.insert_or_add(pack_key(m.v, m.c), m.w);
-        if (use_rows_) row_insert(lv, m.c, m.w, fresh);
+        out_.append(lv, m.c, m.w);
         if (label_[lv] == m.c) sin_acc_.ref(m.c) += m.w;
       }
     });
+    for (vid_t l = 0; l < local_n; ++l) out_.merge_row(l);  // plv-lint: allow(refine-full-scan) -- once per full propagation, which refills every row
+    assert(out_.consistent());
     rebuild_sigma_requests();
     delta_since_full_ = 0;
     // A rebuild re-ships every row, so the pruned frontier's "nothing
@@ -470,8 +456,8 @@ class RankEngine {
 
   /// Incremental maintenance: ships one (retraction, assertion) pair per
   /// in-edge of each vertex that moved this iteration; receivers patch
-  /// Out_Table in place (count-based erase-on-zero keeps the table as
-  /// dense as a rebuild would). Requires every rank to have taken the
+  /// their rows in place (count-based erase-on-zero keeps each row as
+  /// short as a rebuild would). Requires every rank to have taken the
   /// same full-vs-delta decision — see refine().
   void state_propagation_delta() {
     if (prune_) {
@@ -504,8 +490,8 @@ class RankEngine {
     // adjustments made at move time (update_communities), sin_acc_ lands
     // on the same value a fresh post-propagation scan would compute —
     // exactly, in integer-weight arithmetic; within one iteration's
-    // rounding otherwise (the fused FIND scan re-derives it next
-    // iteration, so the drift never compounds).
+    // rounding otherwise (FIND re-derives it from every vertex's own entry
+    // next iteration, so the drift never compounds).
     comm_.drain_streaming_finalized<PropMsg>([&](int /*src*/,
                                                  std::span<const PropMsg> msgs) {
       for (const PropMsg& m : msgs) {
@@ -516,18 +502,15 @@ class RankEngine {
         if (restricted_) active_[lv] = 1;
         if ((m.c & kRetractBit) != 0) {
           const vid_t c = m.c & ~kRetractBit;
-          const bool erased = out_table_.retract(pack_key(m.v, c), m.w);
-          if (erased) ref_sub(c);
-          if (use_rows_) row_retract(lv, c, m.w, erased);
+          if (out_.retract(lv, c, m.w)) ref_sub(c);
           if (label_[lv] == c) sin_acc_.ref(c) -= m.w;
         } else {
-          const bool fresh = out_table_.insert_or_add(pack_key(m.v, m.c), m.w);
-          if (fresh) ref_add(m.c);
-          if (use_rows_) row_insert(lv, m.c, m.w, fresh);
+          if (out_.add(lv, m.c, m.w)) ref_add(m.c);
           if (label_[lv] == m.c) sin_acc_.ref(m.c) += m.w;
         }
       }
     });
+    assert(out_.consistent());
   }
 
   // -- Σtot request bookkeeping ---------------------------------------------
@@ -551,41 +534,6 @@ class RankEngine {
     if (--*r == 0) refs_dirty_.push_back(c);
   }
 
-  // -- active-scheduling row index ------------------------------------------
-
-  /// Mirrors one Out_Table insert into vertex lv's sorted community row.
-  /// `fresh` is the table's own "new slot" verdict, so row membership can
-  /// never disagree with table membership (the table's contribution count,
-  /// not a weight comparison, decides emptiness).
-  void row_insert(vid_t l, vid_t c, weight_t w, bool fresh) {
-    auto& row = rows_[l];
-    const auto it = std::lower_bound(
-        row.begin(), row.end(), c,
-        [](const RowEntry& e, vid_t key) { return e.c < key; });
-    if (fresh) {
-      assert(it == row.end() || it->c != c);
-      row.insert(it, RowEntry{c, w});
-    } else {
-      assert(it != row.end() && it->c == c);
-      it->w += w;
-    }
-  }
-
-  /// Mirrors one Out_Table retraction; `erased` is the table's
-  /// slot-went-empty verdict.
-  void row_retract(vid_t l, vid_t c, weight_t w, bool erased) {
-    auto& row = rows_[l];
-    const auto it = std::lower_bound(
-        row.begin(), row.end(), c,
-        [](const RowEntry& e, vid_t key) { return e.c < key; });
-    assert(it != row.end() && it->c == c);
-    if (erased) {
-      row.erase(it);
-    } else {
-      it->w -= w;
-    }
-  }
-
   /// Re-derives comm_refs_ and sigma_reqs_ from the freshly rebuilt
   /// Out_Table and current labels, and sizes the Σtot reply cache for
   /// the rebuilt request set. The request count mostly falls between
@@ -593,9 +541,11 @@ class RankEngine {
   /// sweeps up to the next rebuild clear it in place instead of
   /// reallocating it each time the count crosses a power of two.
   void rebuild_sigma_requests() {
-    comm_refs_.reset(out_table_.size() / 2 + label_.size() + 1);
-    out_table_.for_each(
-        [&](std::uint64_t key, weight_t) { ++comm_refs_.ref(key_lo(key)); });
+    comm_refs_.reset(out_.size() / 2 + label_.size() + 1);
+    const vid_t local_n = static_cast<vid_t>(label_.size());
+    for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- runs once per full propagation, not per iteration
+      for (const RowStore::Entry& e : out_.row(l)) ++comm_refs_.ref(e.c);
+    }
     for (vid_t c : label_) ++comm_refs_.ref(c);
     for (auto& reqs : sigma_reqs_) reqs.clear();
     comm_refs_.for_each([&](vid_t c, std::uint32_t&) {
@@ -654,28 +604,23 @@ class RankEngine {
 
   /// Fetches Σtot for every community referenced by this rank's Out_Table
   /// (request/reply to the owners, request lists maintained incrementally),
-  /// then scans the table ONCE to fill best_/gain_ per owned vertex AND
-  /// re-derive the Σin pre-aggregation: an entry (u, c) with c == label(u)
-  /// is a Σin contribution and never a join candidate, so the branch that
-  /// used to skip it now accumulates it — compute_sigma_in's second full
-  /// scan is gone.
+  /// then walks the rows ONCE to fill best_/gain_ per owned vertex.
   ///
   /// The request/reply rides the streaming plane: the Σtot requests are on
-  /// the wire while this rank runs the stay-score initialization (the
-  /// Out_Table lookups, the σ-independent half), and no collective
-  /// rendezvous happens at all.
+  /// the wire while this rank runs init_stay_scores (each vertex's own
+  /// entry: the σ-independent half of the stay score, and the Σin
+  /// pre-aggregation), and no collective rendezvous happens at all.
   ///
   /// Ties between equal-score candidates resolve to the smallest community
   /// id under exact comparison (Lu & Halappanavar's minimum-label rule),
-  /// so the chosen target never depends on candidate enumeration order —
-  /// which is what lets the row walk and the fused scan below agree.
+  /// so the chosen target never depends on candidate enumeration order.
   void find_best_community() {
     apply_sigma_request_changes();
     const auto nranks = static_cast<std::size_t>(comm_.nranks());
     const vid_t local_n = static_cast<vid_t>(label_.size());
 
-    // How many vertices this sweep actually considers for a move — the
-    // scanned-vertices telemetry and the scan-strategy input alike.
+    // How many vertices this sweep actually considers for a move (the
+    // scanned-vertices telemetry).
     if (restricted_) {
       std::uint64_t count = 0;
       for (std::uint8_t a : active_) count += a;
@@ -683,16 +628,6 @@ class RankEngine {
     } else {
       scanned_ = static_cast<std::uint64_t>(local_n);
     }
-    // Scan-strategy choice (active scheduling): when the live frontier is
-    // small enough, walk only the active vertices' community rows; above
-    // the threshold the fused full-table scan (inactive rows skipped) wins
-    // on sequential locality. Both strategies compute identical labels —
-    // the exact tie rule makes the winner independent of candidate
-    // enumeration order — so this is a per-rank-local performance choice.
-    const bool row_scan =
-        use_rows_ && restricted_ &&
-        static_cast<double>(scanned_) <=
-            opts_.refine.frontier_scan_threshold * static_cast<double>(local_n);
 
     if (req_in_.size() != nranks) req_in_.resize(nranks);
     for (auto& reqs : req_in_) reqs.clear();
@@ -729,122 +664,67 @@ class RankEngine {
       }
     });
 
-    // Fold the σ term into the stay score: (w_stay) − γ(σ − k)k/2m,
-    // left-associated. γ is hoisted once for the two hot loops below.
-    const double gamma = opts_.refine.resolution;
-    for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- O(1)/vertex σ fold; the skip below prunes the lookups
-      if (restricted_ && active_[l] == 0) continue;  // stay score unused
-      const SigmaRep* own = sigma_cache_.find(label_[l]);
-      assert(own != nullptr);
-      stay_score_[l] -= gamma * (own->sigma_tot - strength_[l]) *
-                        strength_[l] / two_m_;
-    }
-    // best_score starts equal to stay_score; track it in gain_ scaled later.
-    best_score_ = stay_score_;
-
-    if (row_scan) {
-      // Frontier row walk: only the active vertices are visited — the
-      // whole point of active scheduling — so Σin is NOT re-derived here;
-      // the incremental carry (move-time adjustment + patch-drain deltas)
-      // stays authoritative until the next fused scan or full rebuild.
-      // That is exact in integer/dyadic-weight arithmetic; otherwise the
-      // next full rebuild clears the drift, exactly as it does for the
-      // Out_Table weights themselves (DESIGN.md decision 8).
-      for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- sequential bitmap sweep; the join search runs for active vertices only
-        if (active_[l] == 0) continue;
-        const vid_t cu = label_[l];
-        for (const RowEntry& row : rows_[l]) {
-          const vid_t c = row.c;
-          if (c == cu || c == left_[l]) continue;
-          const SigmaRep* target = sigma_cache_.find(c);
-          assert(target != nullptr);
-          if (target->members == 1 && sigma_cache_.find(cu)->members == 1 && c > cu) {
-            continue;
-          }
-          const double score =
-              row.w - gamma * target->sigma_tot * strength_[l] / two_m_;
-          if (score > best_score_[l] || (score == best_score_[l] && c < best_[l])) {
-            best_score_[l] = score;
-            best_[l] = c;
-          }
-        }
-        gain_[l] = best_[l] == cu ? 0.0
-                                  : 2.0 * (best_score_[l] - stay_score_[l]) / two_m_;
-      }
-      return;
-    }
-
-    // The single fused scan: Σin accumulation (c == cu) + join search
-    // (c != cu). Comparing joins by (w_uc − Σtot_c·k_u/2m) is equivalent
-    // to comparing ΔQ (metrics/modularity.hpp); the final gain is the
+    // The join search. Comparing joins by (w_uc − γ·Σtot_c·k_u/2m) is
+    // equivalent to comparing ΔQ (metrics/modularity.hpp); the stay score
+    // (w_stay) − γ(σ − k)k/2m is the baseline, and the final gain is the
     // join-vs-stay difference rescaled to true ΔQ units.
-    sin_acc_.reset(label_.size() + 1);
-    out_table_.for_each([&](std::uint64_t key, weight_t w) {
-      const vid_t u = key_hi(key);
-      const vid_t c = key_lo(key);
-      const vid_t l = part_.to_local(u);
-      const vid_t cu = label_[l];
-      if (c == cu) {
-        sin_acc_.ref(c) += w;  // Σin accounting: every row counts, active or not
-        return;
-      }
+    const double gamma = opts_.refine.resolution;
+    for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- sequential bitmap sweep; the σ lookups and the row walk run for active vertices only
       // Frontier pruning (Sahu's unchanged-vertex idea): an undisturbed
-      // vertex may not move this iteration, so its join search — the σ
-      // lookup and score compare, the scan's dominant cost — is skipped.
-      // best_[l] stays at label_[l] from init_stay_scores, so its gain is 0.
-      if (restricted_ && active_[l] == 0) return;
-      // No move straight back: the community this vertex left in the
-      // previous iteration is not a candidate (DESIGN.md decision 3).
-      if (c == left_[l]) return;
-      const SigmaRep* target = sigma_cache_.find(c);
-      assert(target != nullptr);
-      // Singleton-swap guard (Lu et al. [11], cited by the paper): when a
-      // lone vertex considers joining another singleton community, only
-      // the smaller-labeled side may move. Without it, synchronous
-      // updates let pairs of singletons swap communities within one
-      // iteration — the oscillation Section III warns about. The left_
-      // skip above covers the rest: it stops any vertex's return trip.
-      if (target->members == 1 && sigma_cache_.find(cu)->members == 1 && c > cu) return;
-      const double score =
-          w - gamma * target->sigma_tot * strength_[l] / two_m_;
-      // Most candidates lose: [[unlikely]] keeps the losing path a
-      // fall-through (about 5% of a whole LFR n=20000 solve, x86-64 GCC).
-      if (score > best_score_[l] || (score == best_score_[l] && c < best_[l])) [[unlikely]] {
-        best_score_[l] = score;
-        best_[l] = c;
+      // vertex may not move this iteration, so its join search is skipped;
+      // init_stay_scores left it best_ == label_ and gain 0.
+      if (restricted_ && active_[l] == 0) continue;
+      const vid_t cu = label_[l];
+      const SigmaRep* own = sigma_cache_.find(cu);
+      assert(own != nullptr);
+      const double stay =
+          stay_score_[l] - gamma * (own->sigma_tot - strength_[l]) * strength_[l] / two_m_;
+      double best_score = stay;
+      vid_t best = cu;
+      for (const RowStore::Entry& e : out_.row(l)) {
+        // No move straight back: the community this vertex left in the
+        // previous iteration is not a candidate (DESIGN.md decision 3).
+        if (e.c == cu || e.c == left_[l]) continue;
+        const SigmaRep* target = sigma_cache_.find(e.c);
+        assert(target != nullptr);
+        // Singleton-swap guard (Lu et al. [11], cited by the paper): when a
+        // lone vertex considers joining another singleton community, only
+        // the smaller-labeled side may move. Without it, synchronous
+        // updates let pairs of singletons swap communities within one
+        // iteration — the oscillation Section III warns about. The left_
+        // skip above covers the rest: it stops any vertex's return trip.
+        if (target->members == 1 && own->members == 1 && e.c > cu) continue;
+        const double score = e.w - gamma * target->sigma_tot * strength_[l] / two_m_;
+        // Most candidates lose: [[unlikely]] keeps the losing path a
+        // fall-through (about 5% of a whole LFR n=20000 solve, x86-64 GCC).
+        if (score > best_score || (score == best_score && e.c < best)) [[unlikely]] {
+          best_score = score;
+          best = e.c;
+        }
       }
-    });
-    // Inactive vertices kept best_[l] == label_[l] through the scan, so
-    // this leaves their gain at 0 — out of the threshold histogram and
-    // the move sweep alike — with no separate masking pass.
-    for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- gain finalize is O(1)/vertex with no table access
-      gain_[l] =
-          best_[l] == label_[l] ? 0.0 : 2.0 * (best_score_[l] - stay_score_[l]) / two_m_;
+      best_[l] = best;
+      gain_[l] = best == cu ? 0.0 : 2.0 * (best_score - stay) / two_m_;
     }
   }
 
-  /// σ-independent half of the stay score: w_stay = Out[(u, cu)] − self
-  /// loop, computed while the Σtot requests are on the wire. The σ term is
-  /// folded in after the replies arrive. Kept out of line on purpose:
-  /// inlined into its one caller, the exchange_streaming instantiation,
-  /// the loop made a whole LFR n=20000 solve about 4% slower (x86-64, GCC,
-  /// Release).
+  /// Each vertex's own entry w_stay = Out[(u, cu)], read while the Σtot
+  /// requests are on the wire: it re-derives the Σin pre-aggregation for
+  /// every vertex, active or not, and gives the σ-independent half of the
+  /// stay score (w_stay − self loop). Also resets best_/gain_, so a vertex
+  /// the join search skips stays put.
+  /// Kept out of line on purpose: inlined into its one caller, the
+  /// exchange_streaming instantiation, the loop made a whole LFR n=20000
+  /// solve about 4% slower (x86-64, GCC, Release).
   [[gnu::noinline]] void init_stay_scores() {
+    sin_acc_.reset(label_.size() + 1);
     const vid_t local_n = static_cast<vid_t>(label_.size());
-    for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- best_/gain_ reset must cover every vertex; the frontier skip below prunes the table lookups
+    for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- Σin needs every vertex's own entry; best_/gain_ reset must cover every vertex
       const vid_t cu = label_[l];
       best_[l] = cu;
       gain_[l] = 0.0;
-      // Frontier pruning: vertices outside the disturbed region cannot
-      // move this iteration (their gain stays 0 and update_communities
-      // never reads best_score_), so their stay score is never consumed
-      // — skip the table lookup.
-      if (restricted_ && active_[l] == 0) {
-        stay_score_[l] = 0.0;
-        continue;
-      }
-      const vid_t u = part_.to_global(comm_.rank(), l);
-      stay_score_[l] = out_table_.find(pack_key(u, cu)).value_or(0.0) - self_loop_[l];
+      const RowStore::Entry* own = out_.find(l, cu);
+      if (own != nullptr) sin_acc_.ref(cu) += own->w;
+      stay_score_[l] = (own == nullptr ? 0.0 : own->w) - self_loop_[l];
     }
   }
 
@@ -900,10 +780,10 @@ class RankEngine {
   /// ordered drain sums them — no separate allreduce round. Both counts
   /// are integers, exact in a double far beyond any reachable size.
   ///
-  /// Each move also carries the local Σin pre-aggregation forward: row
-  /// (u, from) stops counting toward Σin(from) and row (u, to) starts
-  /// counting toward Σin(to) — both against the *pre-propagation* table
-  /// the fused scan just read; the propagation drain patches in the edge
+  /// Each move also carries the local Σin pre-aggregation forward: entry
+  /// (u, from) stops counting toward Σin(from) and entry (u, to) starts
+  /// counting toward Σin(to) — both against the *pre-propagation* rows
+  /// FIND just read; the propagation drain patches in the edge
   /// re-pointing afterwards (see state_propagation_delta).
   [[nodiscard]] MoveTally update_communities(double cutoff) {
     delta_out_.resize(static_cast<std::size_t>(comm_.nranks()));
@@ -927,9 +807,10 @@ class RankEngine {
         moves_.push_back(Move{l, from, to});
         ref_sub(from);
         ref_add(to);
-        const vid_t u = part_.to_global(comm_.rank(), l);
-        sin_acc_.ref(from) -= out_table_.find(pack_key(u, from)).value_or(0.0);
-        sin_acc_.ref(to) += out_table_.find(pack_key(u, to)).value_or(0.0);
+        const RowStore::Entry* from_entry = out_.find(l, from);
+        const RowStore::Entry* to_entry = out_.find(l, to);
+        sin_acc_.ref(from) -= from_entry == nullptr ? 0.0 : from_entry->w;
+        sin_acc_.ref(to) += to_entry == nullptr ? 0.0 : to_entry->w;
         deltas[static_cast<std::size_t>(part_.owner(from))].push_back(
             DeltaMsg{from, -1, -strength_[l]});
         deltas[static_cast<std::size_t>(part_.owner(to))].push_back(
@@ -962,11 +843,11 @@ class RankEngine {
 
   // -- Σin + modularity (Algorithm 4 lines 18-25) ----------------------------
 
-  /// Ships the local Σin pre-aggregation (sin_acc_, maintained by the
-  /// fused find scan + move-time carry + propagation-drain patches — the
-  /// second full Out_Table scan the old compute_sigma_in ran is gone) to
-  /// the community owners. Local pre-aggregation keeps message volume at
-  /// one record per (rank, community) pair.
+  /// Ships the local Σin pre-aggregation (sin_acc_, re-derived by FIND's
+  /// init_stay_scores and carried forward by the move-time adjustments
+  /// and propagation-drain patches) to the community owners. Local
+  /// pre-aggregation keeps message volume at one record per (rank,
+  /// community) pair.
   void exchange_sigma_in() {
     comms_.for_each([](vid_t, CommInfo& info) { info.sigma_in = 0.0; });
     sin_out_.resize(static_cast<std::size_t>(comm_.nranks()));
@@ -1053,14 +934,13 @@ class RankEngine {
       timers_.add(phase::kUpdateCommunity, update_s);
 
       // Full-vs-delta is a *global* decision (receivers must know whether
-      // to clear Out_Table), taken from allreduced counts so every rank
+      // to refill the Out_Table), taken from allreduced counts so every rank
       // picks the same branch. One rule: rebuild once the delta records
       // shipped since the level's last full propagation, plus this
       // iteration's, would reach what a full propagation ships. A single
       // delta as large as a rebuild therefore rebuilds, and at most one
       // full propagation's worth of patches (with their floating-point
-      // drift on fractional weights) piles up between rebuilds, each of
-      // which also shrinks Out_Table to its live entries (DESIGN.md
+      // drift on fractional weights) piles up between rebuilds (DESIGN.md
       // decision 8). A pinned (Session) frontier always ships deltas: a
       // rebuild costs O(|In_Table|) — the cold-start term the dirty-region
       // re-refine exists to avoid — and only the patches grow the
@@ -1071,7 +951,7 @@ class RankEngine {
       t.reset();
       const std::uint64_t sent_before = comm_.stats().records_sent;
       if (full) {
-        state_propagation_full(out_table_.size());  // resets delta_since_full_
+        state_propagation_full();  // resets delta_since_full_
       } else {
         delta_since_full_ += moved.delta_records;
         state_propagation_delta();
@@ -1161,22 +1041,23 @@ class RankEngine {
   }
 
   /// Rewrites the Out_Table into the next level's In_Table (all-to-all) and
-  /// re-derives the level state.
+  /// re-derives the level state. The In_Table is the accumulator: equal
+  /// (source, target) community pairs sum on arrival.
   void graph_reconstruction(const FlatMap<vid_t>& dense, vid_t next_n) {
     graph::Partition1D next_part(opts_.partition, next_n, comm_.nranks());
 
-    hashing::EdgeTable next_in(out_table_.size() / 2 + 16, opts_.table_max_load,
-                               opts_.hash);
-    // Swap the receive target in place so the handler can hash directly.
+    hashing::EdgeTable next_in(out_.size() / 2 + 16, opts_.table_max_load, opts_.hash);
     pml::Aggregator<EdgeMsg> agg(comm_, opts_.aggregator_capacity);
-    out_table_.for_each([&](std::uint64_t key, weight_t w) {
-      const vid_t u = key_hi(key);
-      const vid_t c = key_lo(key);
-      const vid_t* src = dense.find(label_[part_.to_local(u)]);
-      const vid_t* dst = dense.find(c);
-      assert(src != nullptr && dst != nullptr);
-      agg.push(next_part.owner(*dst), EdgeMsg{*src, *dst, w});
-    });
+    const vid_t local_n = static_cast<vid_t>(label_.size());
+    for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- reconstruction, runs once per level
+      const vid_t* src = dense.find(label_[l]);
+      assert(src != nullptr);
+      for (const RowStore::Entry& e : out_.row(l)) {
+        const vid_t* dst = dense.find(e.c);
+        assert(dst != nullptr);
+        agg.push(next_part.owner(*dst), EdgeMsg{*src, *dst, e.w});
+      }
+    }
     agg.flush_all_final();
     // Ordered streaming drain: chunks are consumed as they arrive but
     // applied in ascending source-rank order, so the next level's In_Table
@@ -1206,7 +1087,7 @@ class RankEngine {
   weight_t two_m_{0};
 
   hashing::EdgeTable in_table_;
-  hashing::EdgeTable out_table_;
+  RowStore out_;  // the Out_Table, one sorted row per owned vertex
   // A level-0 In_Table lent by init_from_table goes back to its owner
   // after the run; once a reconstruction replaces it, it waits here.
   bool lent_level0_{false};
@@ -1240,17 +1121,13 @@ class RankEngine {
   // edges, forces the delta path, level 0 only) and active-vertex
   // scheduling (prune_; every level, the set re-derives each delta
   // iteration as movers ∪ patched and a full rebuild reactivates all).
-  // use_rows_ keeps the per-vertex sorted community rows (rows_) mirrored
-  // off the Out_Table so a small frontier can scan rows instead of the
-  // table. level_moves_ is the current level's global move count;
+  // level_moves_ is the current level's global move count;
   // scanned_ counts the vertices whose join search the last FIND actually
   // ran.
   bool pinned_{false};
   bool restricted_{false};
   bool prune_{false};
-  bool use_rows_{false};
   std::vector<std::uint8_t> active_;
-  std::vector<std::vector<RowEntry>> rows_;
   std::uint64_t level_moves_{0};
   std::uint64_t scanned_{0};
   // Level counter for threshold scaling: 0 on every fresh ingestion,
@@ -1272,10 +1149,8 @@ class RankEngine {
   std::vector<vid_t> refs_dirty_;
 
   // Persistent per-iteration scratch (steady state allocates nothing):
-  // the σ-augmented best score, the positive-gain compaction, the gain
-  // histogram + its reduction scratch, and the streaming Σtot
-  // request/reply staging.
-  std::vector<double> best_score_;
+  // the positive-gain compaction, the gain histogram + its reduction
+  // scratch, and the streaming Σtot request/reply staging.
   std::vector<double> pos_gains_;
   Histogram hist_{0.0, 0.0, 1};
   std::vector<std::uint64_t> hist_scratch_;

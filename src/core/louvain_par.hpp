@@ -2,17 +2,22 @@
 // contribution (Algorithms 2–5).
 //
 // Every rank owns a 1-D slice of the vertices plus the communities whose
-// label vertex it owns. Two hash tables per rank carry the graph:
+// label vertex it owns. Two tables per rank carry the graph:
 //
 //   In_Table  — ((v, u), w) for owned u: the in-edges, immutable within a
-//               level; the authoritative copy of the topology.
+//               level; the authoritative copy of the topology. A hash
+//               table (hashing::EdgeTable), the accumulator ingestion and
+//               reconstruction sum edges into.
 //   Out_Table — ((u, c), w) for owned u: the out-edge weight of u into
-//               each neighboring *community* c. Built from the In_Table by
-//               the level's first STATE PROPAGATION, then maintained
-//               *incrementally*: moved vertices ship retraction/assertion
-//               pairs that patch the table in place. A full rebuild
-//               replaces the patches once the delta records shipped
-//               since the last one would reach a rebuild's own count.
+//               each neighboring *community* c. One row per owned vertex,
+//               sorted by c and laid out over the level's in-edge CSR
+//               (core/row_store.hpp). Filled by the level's first STATE
+//               PROPAGATION, then maintained *incrementally*: moved
+//               vertices ship retraction/assertion pairs that patch rows
+//               in place. A full refill replaces the patches once the
+//               delta records shipped since the last one would reach a
+//               full propagation's own count. FIND is one loop over the
+//               rows.
 //
 // One outer level = STATE PROPAGATION → REFINE (inner loop: FIND BEST
 // COMMUNITY, threshold ΔQ̂ selection, UPDATE COMMUNITY INFORMATION,

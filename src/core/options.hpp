@@ -123,15 +123,6 @@ struct RefinePlan {
   // partition, so where the rebuilds fall moves this option's labels.
   bool active_scheduling{false};
 
-  // Scan-strategy switch for active scheduling: when the live frontier is
-  // at most this fraction of the local partition, FIND walks the per-vertex
-  // community rows of the active vertices only; above it, the fused full
-  // Out_Table scan (with inactive vertices skipped) is cheaper. 0 = always
-  // fused, 1 = always rows. Both strategies produce identical labels (the
-  // equivalence suite pins threshold 0 vs 1), so this is purely a
-  // performance dial.
-  double frontier_scan_threshold{0.25};
-
   // Levels smaller than this refine unrestricted even under active
   // scheduling. Restricting moves to the frontier admits fewer movers per
   // round, stretching convergence across more iterations — worth it while
@@ -272,7 +263,7 @@ struct ParOptions {
   // otherwise).
   bool validate_transport{pml::kValidateTransportDefault};
 
-  // Hash-table configuration (Section V-C). 1/4 load factor is the
+  // In_Table hash configuration (Section V-C). 1/4 load factor is the
   // paper's chosen speed/memory compromise.
   hashing::HashKind hash{hashing::HashKind::kFibonacci};
   double table_max_load{0.25};
@@ -328,9 +319,12 @@ struct ParOptions {
              std::to_string(refine.p2) + " (use ThresholdModel::kNone to disable the heuristic)");
       }
     }
-    if (refine.gain_histogram_bins < 1) {
-      fail("gain_histogram_bins must be >= 1, got " +
-           std::to_string(refine.gain_histogram_bins));
+    // Every rank allreduces this many counts per iteration, so a huge
+    // value would fail inside the fleet instead of here.
+    constexpr std::size_t kMaxHistogramBins = std::size_t{1} << 20;
+    if (refine.gain_histogram_bins < 1 || refine.gain_histogram_bins > kMaxHistogramBins) {
+      fail("gain_histogram_bins must be in [1, " + std::to_string(kMaxHistogramBins) +
+           "], got " + std::to_string(refine.gain_histogram_bins));
     }
     if (!(table_max_load > 0.0) || !(table_max_load <= 1.0)) {
       fail("table_max_load must be in (0, 1], got " + std::to_string(table_max_load));
@@ -358,13 +352,6 @@ struct ParOptions {
     if (!(refine.resolution > 0.0) || !std::isfinite(refine.resolution)) {
       fail("resolution must be a positive finite value, got " +
            std::to_string(refine.resolution));
-    }
-    // Negated comparisons so NaN fails the range checks.
-    if (!(refine.frontier_scan_threshold >= 0.0) ||
-        !(refine.frontier_scan_threshold <= 1.0)) {
-      fail("frontier_scan_threshold must be in [0, 1], got " +
-           std::to_string(refine.frontier_scan_threshold) +
-           " (0 = always the fused scan, 1 = always the row scan)");
     }
     if (!(refine.initial_tolerance >= 0.0) || !std::isfinite(refine.initial_tolerance)) {
       fail("initial_tolerance must be >= 0 and finite, got " +

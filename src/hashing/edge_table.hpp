@@ -1,24 +1,24 @@
-// EdgeTable — the open-addressing hash table behind In_Table and Out_Table.
+// EdgeTable — the open-addressing hash table behind the In_Table.
 //
-// Both of the paper's tables store ((a,b), w) triples keyed by a packed
-// pair of 32-bit ids (In_Table: (source vertex, owned vertex); Out_Table:
-// (owned vertex, neighbor community)), with insert-or-accumulate semantics
-// and linear probing (Algorithms 3 and 5). In_Table is rebuilt wholesale
-// per level, so fast reset() and dense sequential scans stay first-class;
-// reset() sizes a table for its new contents, so a scan never walks
-// capacity left over from a larger past.
+// It stores ((a,b), w) triples keyed by a packed pair of 32-bit ids
+// (source vertex, owned vertex), with insert-or-accumulate semantics and
+// linear probing (Algorithms 3 and 5). It is the engine's accumulator:
+// ingestion sums duplicate edges into it, and reconstruction builds the
+// next level's In_Table in it as equal community pairs arrive. The
+// Out_Table is a per-vertex row store (core/row_store.hpp) laid out over
+// the adjacency derived from this table. reset() sizes a table for its
+// new contents, so a scan never walks capacity left over from a larger
+// past.
 //
-// Out_Table is additionally maintained *incrementally*: when a vertex
-// moves community, its in-neighbors' entries are patched with a
-// retraction (old community) / assertion (new community) pair instead of
-// rebuilding the whole table. To support that, every entry carries a
-// contribution count — the number of in-edges currently accumulated into
-// it. retract() removes one contribution, and when the count reaches zero
-// the entry is deleted by backward-shifting the probe chain (tombstone-
-// free, so the table stays dense and scans never stumble over graves).
-// Counting contributions — rather than testing the weight against zero —
-// makes emptiness detection exact even when floating-point accumulation
-// leaves dust in the weight.
+// A Session keeps its level-0 In_Table resident and patches it per batch
+// of edge changes. To support that, every entry carries a contribution
+// count — the number of edge records accumulated into it. retract()
+// removes one contribution, and when the count reaches zero the entry is
+// deleted by backward-shifting the probe chain (tombstone-free, so the
+// table stays dense and scans never stumble over graves). Counting
+// contributions — rather than testing the weight against zero — makes
+// emptiness detection exact even when floating-point accumulation leaves
+// dust in the weight.
 //
 // The inverse load factor is configurable; the paper settles on 1/4 as the
 // speed/memory compromise (Fig. 6d) and we default to the same.

@@ -1,14 +1,16 @@
-// Frontier-pruned refine: equivalence and edge-case pins.
+// Frontier-pruned refine: golden pins and edge cases.
 //
-// The row-indexed frontier scan and the fused full scan are two
-// strategies for the same FIND — the row index mirrors Out_Table rows
-// through the table's own fresh/erased verdicts with weights maintained
-// in the same arithmetic order, and both strategies use the exact
-// min-label comparator (the engine's only tie rule). So forcing the
-// strategy choice to either extreme (frontier_scan_threshold 1 = row
-// scan whenever the frontier is restricted, 0 = always fused) must give
-// bit-identical labels, modularity, and per-iteration trace on every
-// transport, across cold, warm, and streamed ingestion.
+// Active scheduling restricts FIND's join search to the disturbed
+// vertices while Σin is still re-derived from every vertex's own
+// Out_Table entry each iteration. The goldens below were recorded when
+// FIND still had two strategies (a row walk over the active vertices and
+// a fused full-table scan), from the fused scan's runs, which the row
+// walk matched bit for bit. The single FIND loop must reproduce them on
+// every transport, across cold, warm and streamed ingestion: the final
+// Q's bits, and FNV-1a hashes of the final labels and of each level's
+// labels, trace.modularity, trace.scanned_vertices and
+// trace.prop_records. A mismatch prints the observed golden in source
+// form.
 //
 // With the heuristics off (the default), the engine must scan the full
 // partition every iteration — pinned here through the scanned-vertices
@@ -25,10 +27,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "common/louvain.hpp"
 #include "core/louvain_par.hpp"
 #include "gen/lfr.hpp"
+#include "golden_hash.hpp"
 #include "transport_param.hpp"
 
 namespace plv {
@@ -61,44 +67,80 @@ EdgeSliceFn round_robin(const graph::EdgeList& edges) {
   };
 }
 
-/// Active scheduling on, with the row-vs-fused strategy switch forced to
-/// one extreme. threshold 1: every restricted FIND takes the row scan;
-/// threshold 0: the fused scan always runs (the row index is still
-/// maintained, exercising its mirroring).
-core::ParOptions scheduling_opts(pml::TransportKind kind, double threshold) {
+/// Active scheduling on, everything else at its default.
+core::ParOptions scheduling_opts(pml::TransportKind kind) {
   core::ParOptions opts;
   opts.nranks = kRanks;
   opts.transport = kind;
   opts.refine.active_scheduling = true;
-  opts.refine.frontier_scan_threshold = threshold;
   return opts;
 }
 
-void expect_bit_identical(const Result& row, const Result& fused) {
-  EXPECT_EQ(row.final_modularity, fused.final_modularity);
-  EXPECT_EQ(row.final_labels, fused.final_labels);
-  ASSERT_EQ(row.num_levels(), fused.num_levels());
-  for (std::size_t l = 0; l < row.num_levels(); ++l) {
-    EXPECT_EQ(row.levels[l].labels, fused.levels[l].labels) << "level " << l;
-    EXPECT_EQ(row.levels[l].modularity, fused.levels[l].modularity) << "level " << l;
-    // The per-iteration trace is a bitwise artifact of the trajectory:
-    // same moves, same propagation volume, same frontier population.
-    EXPECT_EQ(row.levels[l].trace.modularity, fused.levels[l].trace.modularity)
-        << "level " << l;
-    EXPECT_EQ(row.levels[l].trace.scanned_vertices,
-              fused.levels[l].trace.scanned_vertices)
-        << "level " << l;
-    EXPECT_EQ(row.levels[l].trace.prop_records, fused.levels[l].trace.prop_records)
-        << "level " << l;
+struct LevelGolden {
+  std::uint64_t labels;
+  std::uint64_t trace_modularity;
+  std::uint64_t trace_scanned;
+  std::uint64_t trace_prop_records;
+  bool operator==(const LevelGolden&) const = default;
+};
+
+struct Golden {
+  double final_modularity;
+  std::uint64_t final_labels;
+  std::vector<LevelGolden> levels;
+  bool operator==(const Golden&) const = default;
+};
+
+Golden observe(const Result& r) {
+  Golden g{r.final_modularity, fnv1a(r.final_labels), {}};
+  for (const LouvainLevel& level : r.levels) {
+    g.levels.push_back(LevelGolden{fnv1a(level.labels), fnv1a(level.trace.modularity),
+                                   fnv1a(level.trace.scanned_vertices),
+                                   fnv1a(level.trace.prop_records)});
   }
+  return g;
 }
 
+std::string to_source(const Golden& g) {
+  char buf[128];
+  std::snprintf(buf, sizeof(buf), "{%a, 0x%016llxULL, {", g.final_modularity,
+                static_cast<unsigned long long>(g.final_labels));
+  std::string out = buf;
+  for (const LevelGolden& l : g.levels) {
+    std::snprintf(buf, sizeof(buf), "\n  {0x%016llxULL, 0x%016llxULL, ",
+                  static_cast<unsigned long long>(l.labels),
+                  static_cast<unsigned long long>(l.trace_modularity));
+    out += buf;
+    std::snprintf(buf, sizeof(buf), "0x%016llxULL, 0x%016llxULL},",
+                  static_cast<unsigned long long>(l.trace_scanned),
+                  static_cast<unsigned long long>(l.trace_prop_records));
+    out += buf;
+  }
+  return out + "}}";
+}
+
+void expect_golden(const Result& r, const Golden& expected, const char* what) {
+  const Golden actual = observe(r);
+  EXPECT_EQ(actual.final_modularity, expected.final_modularity) << what;
+  EXPECT_EQ(actual.final_labels, expected.final_labels) << what;
+  EXPECT_EQ(actual.levels, expected.levels) << what;
+  if (actual != expected) ADD_FAILURE() << what << " observed " << to_source(actual);
+}
+
+// Level entries: {labels, trace.modularity, trace.scanned_vertices,
+// trace.prop_records}.
+const Golden kCold{0x1.126d38ec12cdep-1, 0x45903904d2be6f61ULL, {
+  {0xe8b93f14ac83e9e0ULL, 0xd638fc282eb5a2d2ULL, 0x9f00f06dfd3b7fcbULL, 0x2213f0b0e07f380cULL},
+  {0xc8833b09292870ceULL, 0xa11a94bb38f8381cULL, 0xbc940917e210d625ULL, 0x070d8b41bbc3dda2ULL}}};
+const Golden kWarm{0x1.126d38ec12cdep-1, 0x0d920ca36c448549ULL, {
+  {0x0d920ca36c448549ULL, 0x126faf72be91a464ULL, 0x895c2f5341266a59ULL, 0xd5238384793e82bdULL}}};
+// Round-robin slices of the same list: streamed ingestion lands on the
+// cold run's trajectory.
+const Golden kStreamed = kCold;
+
 TEST_P(FrontierEquivalence, RowScanMatchesFusedScanCold) {
-  const auto row = louvain(GraphSource::from_edges(lfr_input()),
-                           scheduling_opts(GetParam(), 1.0));
-  const auto fused = louvain(GraphSource::from_edges(lfr_input()),
-                             scheduling_opts(GetParam(), 0.0));
-  expect_bit_identical(row, fused);
+  expect_golden(louvain(GraphSource::from_edges(lfr_input()), scheduling_opts(GetParam())),
+                kCold, "cold");
 }
 
 TEST_P(FrontierEquivalence, RowScanMatchesFusedScanWarm) {
@@ -106,22 +148,15 @@ TEST_P(FrontierEquivalence, RowScanMatchesFusedScanWarm) {
   seed_opts.nranks = kRanks;
   seed_opts.transport = GetParam();
   const auto seed = louvain(GraphSource::from_edges(lfr_input()), seed_opts);
-  const auto row =
-      louvain(GraphSource::from_edges_warm(lfr_input(), seed.final_labels),
-              scheduling_opts(GetParam(), 1.0));
-  const auto fused =
-      louvain(GraphSource::from_edges_warm(lfr_input(), seed.final_labels),
-              scheduling_opts(GetParam(), 0.0));
-  expect_bit_identical(row, fused);
+  expect_golden(louvain(GraphSource::from_edges_warm(lfr_input(), seed.final_labels),
+                        scheduling_opts(GetParam())),
+                kWarm, "warm");
 }
 
 TEST_P(FrontierEquivalence, RowScanMatchesFusedScanStreamed) {
-  const EdgeSliceFn slice = round_robin(lfr_input());
-  const auto row = louvain(GraphSource::from_stream(slice, 2000),
-                           scheduling_opts(GetParam(), 1.0));
-  const auto fused = louvain(GraphSource::from_stream(slice, 2000),
-                             scheduling_opts(GetParam(), 0.0));
-  expect_bit_identical(row, fused);
+  expect_golden(louvain(GraphSource::from_stream(round_robin(lfr_input()), 2000),
+                        scheduling_opts(GetParam())),
+                kStreamed, "streamed");
 }
 
 // With the heuristics at their defaults (all off) every FIND must scan

@@ -107,19 +107,17 @@ TEST(OptionsValidate, RejectsNonFiniteResolution) {
   expect_rejected(opts, "resolution");
 }
 
-TEST(OptionsValidate, RejectsOutOfRangeFrontierScanThreshold) {
+// Every rank allreduces gain_histogram_bins counts per iteration, so the
+// bound must hold at the API boundary. Only validate() runs here: no
+// solve is launched with a huge bin count.
+TEST(OptionsValidate, RejectsOversizedHistogramBinCount) {
   ParOptions opts;
-  opts.refine.frontier_scan_threshold = -0.1;
-  expect_rejected(opts, "frontier_scan_threshold");
-  opts.refine.frontier_scan_threshold = 1.5;
-  expect_rejected(opts, "frontier_scan_threshold");
-  opts.refine.frontier_scan_threshold = std::nan("");
-  expect_rejected(opts, "frontier_scan_threshold");
-  // Both extremes are meaningful (0 = always fused, 1 = always row scan).
-  opts.refine.frontier_scan_threshold = 0.0;
+  opts.refine.gain_histogram_bins = std::size_t{1} << 20;
   EXPECT_NO_THROW(opts.validate());
-  opts.refine.frontier_scan_threshold = 1.0;
-  EXPECT_NO_THROW(opts.validate());
+  opts.refine.gain_histogram_bins = (std::size_t{1} << 20) + 1;
+  expect_rejected(opts, "gain_histogram_bins");
+  opts.refine.gain_histogram_bins = std::numeric_limits<std::size_t>::max();
+  expect_rejected(opts, "gain_histogram_bins");
 }
 
 TEST(OptionsValidate, RejectsBadThresholdScaling) {
