@@ -34,7 +34,7 @@ NodeTables build(const plv::graph::EdgeList& edges, plv::vid_t n, HashKind kind,
   const std::size_t per_node = 2 * edges.size() / kNodes;
   const auto bins = static_cast<std::size_t>(static_cast<double>(per_node) / inv_load);
   NodeTables out;
-  plv::graph::Partition1D part(plv::graph::PartitionKind::kCyclic, n, kNodes);
+  plv::graph::Partition1D part(n, kNodes);
   for (int node = 0; node < kNodes; ++node) out.tables.emplace_back(bins, kind);
   for (const plv::Edge& e : edges) {
     // Both endpoints own a copy of the edge, as in the In_Table layout.

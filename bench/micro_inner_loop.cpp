@@ -60,8 +60,8 @@ void BM_FrontierAB(benchmark::State& state) {
       for (std::size_t i = 0; i < level.trace.scanned_vertices.size(); ++i) {
         scanned += level.trace.scanned_vertices[i];
         // The after-iteration-2 cut is measured at level 0 only: that is
-        // where the frontier operates (coarse levels below
-        // min_frontier_vertices refine unrestricted, and folding their
+        // where the frontier operates (coarse levels below 1024
+        // vertices refine unrestricted, and folding their
         // tiny full scans into the average would mask the level-0 cut).
         // Iterations 1-2 scan everything by construction — iteration 1
         // runs before any moves exist and iteration 2 follows the

@@ -54,7 +54,8 @@ enum class LevelStop {
 /// is the fraction of the level's vertices that changed community in that
 /// iteration — the quantity the paper's Fig. 2 plots against iteration
 /// number to motivate the exponential threshold. `stop` is always set;
-/// the per-iteration vectors only under record_trace.
+/// the parallel engine always fills the per-iteration vectors, the
+/// sequential one only when its options ask for a trace.
 struct LevelTrace {
   LevelStop stop{LevelStop::kIterationCap};
   int iterations{0};  // inner iterations the level ran

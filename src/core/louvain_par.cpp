@@ -13,6 +13,7 @@
 #include "common/timer.hpp"
 #include "core/row_store.hpp"
 #include "core/session.hpp"
+#include "graph/partition.hpp"
 #include "hashing/edge_table.hpp"
 #include "pml/aggregator.hpp"
 
@@ -72,8 +73,11 @@ struct SigmaRep {
   std::int64_t members;
 };
 
-/// GRAPH RECONSTRUCTION: coarse in-edge (src → dst) of weight w, delivered
-/// to owner(dst) (paper Algorithm 5). Ids are already dense next-level ids.
+/// In_Table record: the in-edge (src → dst) of weight w, stored at
+/// owner(dst) under key pack_key(src, dst). Level-0 ingestion builds them
+/// from the edge list (for_each_in_record); GRAPH RECONSTRUCTION ships
+/// coarse ones whose ids are already dense next-level ids (paper
+/// Algorithm 5).
 struct EdgeMsg {
   vid_t src;
   vid_t dst;
@@ -89,6 +93,27 @@ struct LabelPair {
 static_assert(sizeof(PropMsg) == 16 && sizeof(DeltaMsg) == 16 && sizeof(SinMsg) == 16 &&
               sizeof(EdgeMsg) == 16);
 
+// ---------------------------------------------------------------------------
+// Refine constants.
+// ---------------------------------------------------------------------------
+
+/// Consecutive stagnant iterations that end a level's inner loop: one
+/// stagnant low-ε iteration is normal, not convergence, so it takes a
+/// window of them (DESIGN.md decision 3).
+inline constexpr int kStagnationWindow = 2;
+
+/// Bins of the positive-gain histogram that turns ε into the gain cutoff.
+/// Every rank allreduces this many counts per iteration.
+inline constexpr std::size_t kGainHistogramBins = 512;
+
+/// Levels smaller than this refine unrestricted even under active
+/// scheduling. Restricting moves to the frontier admits fewer movers per
+/// round, stretching convergence across more iterations — worth it while
+/// the FIND scan dominates, a net loss once the level graph is small
+/// enough that per-iteration collective rounds dominate and scanning
+/// everything is effectively free.
+inline constexpr vid_t kMinPrunedLevel = 1024;
+
 /// Per-community bookkeeping held by the community's owner.
 struct CommInfo {
   weight_t sigma_tot{0};
@@ -96,26 +121,34 @@ struct CommInfo {
   std::int64_t members{0};
 };
 
-/// Fills `table` with rank `me`'s slice of the level-0 In_Table: one
-/// ((v, u), w) record per in-edge of an owned u, self-loops stored as
-/// A(u, u) = 2w. Shared by one-shot ingestion (RankEngine::init_from_edges)
-/// and the Session's resident-table cold rebuilds: the table layout — and
-/// with it every downstream scan order — depends on the insertion
-/// sequence and the starting capacity, so running the *same* fill — reset
-/// to the same size — over the same list is what makes a cold rebuild
-/// inside a fleet bit-identical to a one-shot run.
+/// The In_Table record rule: how one edge becomes level-0 In_Table
+/// records. A self-loop is the single record A(u, u) = 2w; any other edge
+/// is (u → v) and then (v → u), each stored at owner of its target.
+/// Streamed ingestion, the in-process fill and the Session's patches all
+/// emit through here, in this order: the table layout — and with it every
+/// downstream scan order — depends on the insertion sequence, so one rule
+/// is what keeps a Session cold rebuild bit-identical to a one-shot run.
+template <typename Emit>
+void for_each_in_record(const Edge& e, Emit&& emit) {
+  if (e.u == e.v) {
+    emit(EdgeMsg{e.u, e.u, 2 * e.w});
+    return;
+  }
+  emit(EdgeMsg{e.u, e.v, e.w});
+  emit(EdgeMsg{e.v, e.u, e.w});
+}
+
+/// Fills `table` with rank `me`'s slice of the level-0 In_Table. Shared by
+/// one-shot ingestion (RankEngine::init_from_edges) and the Session's
+/// resident-table cold rebuilds: besides the record order, the layout
+/// depends on the starting capacity, so both reset to the same size.
 void fill_in_table(hashing::EdgeTable& table, const graph::EdgeList& edges,
                    const graph::Partition1D& part, int me, int nranks) {
   table.reset(2 * edges.size() / static_cast<std::size_t>(nranks) + 16);
   for (const Edge& e : edges) {
-    if (e.u == e.v) {
-      if (part.owner(e.u) == me) {
-        table.insert_or_add(pack_key(e.u, e.u), 2 * e.w);  // A(u,u) = 2w
-      }
-      continue;
-    }
-    if (part.owner(e.v) == me) table.insert_or_add(pack_key(e.u, e.v), e.w);
-    if (part.owner(e.u) == me) table.insert_or_add(pack_key(e.v, e.u), e.w);
+    for_each_in_record(e, [&](const EdgeMsg& m) {
+      if (part.owner(m.dst) == me) table.insert_or_add(pack_key(m.src, m.dst), m.w);
+    });
   }
 }
 
@@ -128,21 +161,19 @@ class RankEngine {
   RankEngine(pml::Comm& comm, const ParOptions& opts)
       : comm_(comm),
         opts_(opts),
-        part_(opts.partition, 0, comm.nranks()),
+        part_(0, comm.nranks()),
         in_table_(0, opts.table_max_load, opts.hash),
         out_([this](std::size_t l) {
           return "row of vertex " +
                  std::to_string(part_.to_global(comm_.rank(), static_cast<vid_t>(l))) +
                  " at level " + std::to_string(level_index_);
         }),
-        prop_agg_(comm, opts.aggregator_capacity),
-        sigma_reqs_(static_cast<std::size_t>(comm.nranks())) {
-    comm_.set_chunk_pool_watermark(opts.chunk_pool_watermark);
-  }
+        prop_agg_(comm),
+        sigma_reqs_(static_cast<std::size_t>(comm.nranks())) {}
 
   /// Builds level 0 from the (shared, read-only) global edge list.
   void init_from_edges(const graph::EdgeList& edges, vid_t n) {
-    part_ = graph::Partition1D(opts_.partition, n, comm_.nranks());
+    part_ = graph::Partition1D(n, comm_.nranks());
     n_level_ = n;
     level_index_ = 0;
     fill_in_table(in_table_, edges, part_, comm_.rank(), comm_.nranks());
@@ -159,7 +190,7 @@ class RankEngine {
   /// reads the table, and graph_reconstruction parks it instead of
   /// dropping it.
   void init_from_table(hashing::EdgeTable&& in0, vid_t n) {
-    part_ = graph::Partition1D(opts_.partition, n, comm_.nranks());
+    part_ = graph::Partition1D(n, comm_.nranks());
     n_level_ = n;
     level_index_ = 0;
     in_table_ = std::move(in0);
@@ -236,18 +267,13 @@ class RankEngine {
   /// materializes the global edge list.
   void init_from_slice(const graph::EdgeList& slice, vid_t n) {
     require_valid_edges(slice, "louvain");
-    part_ = graph::Partition1D(opts_.partition, n, comm_.nranks());
+    part_ = graph::Partition1D(n, comm_.nranks());
     n_level_ = n;
     level_index_ = 0;
     in_table_.reset(2 * slice.size() / static_cast<std::size_t>(comm_.nranks()) + 16);
-    pml::Aggregator<EdgeMsg> agg(comm_, opts_.aggregator_capacity);
+    pml::Aggregator<EdgeMsg> agg(comm_);
     for (const Edge& e : slice) {
-      if (e.u == e.v) {
-        agg.push(part_.owner(e.u), EdgeMsg{e.u, e.u, 2 * e.w});
-        continue;
-      }
-      agg.push(part_.owner(e.v), EdgeMsg{e.u, e.v, e.w});
-      agg.push(part_.owner(e.u), EdgeMsg{e.v, e.u, e.w});
+      for_each_in_record(e, [&](const EdgeMsg& m) { agg.push(part_.owner(m.dst), m); });
     }
     agg.flush_all_final();
     // Ordered streaming drain: arrivals apply in source-rank order, so the
@@ -384,17 +410,12 @@ class RankEngine {
     full_prop_records_ = comm_.allreduce_sum(static_cast<std::uint64_t>(in_table_.size()));
     // A pinned (Session) frontier applies to the level it was seeded on;
     // coarser levels (and fresh inits) refine unrestricted. Active-vertex
-    // scheduling, by contrast, re-arms on every level: all vertices start
-    // schedulable, and the first delta propagation shrinks the set to the
-    // disturbed region. Small levels opt out entirely: restricting moves
-    // admits fewer movers per round, so convergence stretches across more
-    // iterations — a fine trade while FIND dominates, a loss once the
-    // level is collective-bound (scanning a few hundred vertices is free,
-    // but every extra iteration pays the full reduction rounds).
+    // scheduling, by contrast, re-arms on every level of at least
+    // kMinPrunedLevel vertices: all vertices start schedulable, and the
+    // first delta propagation shrinks the set to the disturbed region.
     pinned_ = false;
     restricted_ = false;
-    prune_ = opts_.refine.active_scheduling &&
-             n_level_ >= opts_.refine.min_frontier_vertices;
+    prune_ = opts_.refine.active_scheduling && n_level_ >= kMinPrunedLevel;
     if (prune_) {
       active_.assign(local_n, 1);
     } else {
@@ -519,41 +540,45 @@ class RankEngine {
   /// Out_Table references plus every owned vertex's own community. Rather
   /// than re-collecting that set each iteration (a full table scan plus a
   /// sort), the engine keeps it persistent: comm_refs_ counts, per
-  /// community, the Out_Table entries naming it plus the owned vertices
-  /// labeled with it; sigma_reqs_ holds the per-owner sorted request
-  /// lists; refs_dirty_ logs communities whose count touched zero or left
-  /// it, and apply_sigma_request_changes() folds the log in with one
-  /// linear merge per affected owner.
+  /// community id of the level (a dense array: every rank already holds
+  /// O(n_level) labels at the level's end), the Out_Table entries naming
+  /// it plus the owned vertices labeled with it; sigma_reqs_ holds the
+  /// per-owner sorted request lists; refs_dirty_ logs communities whose
+  /// count touched zero or left it, and apply_sigma_request_changes()
+  /// folds the log in with one linear merge per affected owner.
   void ref_add(vid_t c) {
-    if (++comm_refs_.ref(c) == 1) refs_dirty_.push_back(c);
+    if (++comm_refs_[c] == 1) refs_dirty_.push_back(c);
   }
 
   void ref_sub(vid_t c) {
-    std::uint32_t* r = comm_refs_.find(c);
-    assert(r != nullptr && *r > 0);
-    if (--*r == 0) refs_dirty_.push_back(c);
+    assert(comm_refs_[c] > 0);
+    if (--comm_refs_[c] == 0) refs_dirty_.push_back(c);
   }
 
   /// Re-derives comm_refs_ and sigma_reqs_ from the freshly rebuilt
   /// Out_Table and current labels, and sizes the Σtot reply cache for
-  /// the rebuilt request set. The request count mostly falls between
-  /// rebuilds as communities merge, so that size is the cache's slack: the
-  /// sweeps up to the next rebuild clear it in place instead of
-  /// reallocating it each time the count crosses a power of two.
+  /// the rebuilt request set. One ascending pass over the community ids
+  /// fills the request lists already sorted. The request count mostly
+  /// falls between rebuilds as communities merge, so that size is the
+  /// cache's slack: the sweeps up to the next rebuild clear it in place
+  /// instead of reallocating it each time the count crosses a power of
+  /// two.
   void rebuild_sigma_requests() {
-    comm_refs_.reset(out_.size() / 2 + label_.size() + 1);
+    comm_refs_.assign(n_level_, 0);
     const vid_t local_n = static_cast<vid_t>(label_.size());
     for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- runs once per full propagation, not per iteration
-      for (const RowStore::Entry& e : out_.row(l)) ++comm_refs_.ref(e.c);
+      for (const RowStore::Entry& e : out_.row(l)) ++comm_refs_[e.c];
     }
-    for (vid_t c : label_) ++comm_refs_.ref(c);
+    for (vid_t c : label_) ++comm_refs_[c];
     for (auto& reqs : sigma_reqs_) reqs.clear();
-    comm_refs_.for_each([&](vid_t c, std::uint32_t&) {
+    std::size_t requested = 0;
+    for (vid_t c = 0; c < n_level_; ++c) {
+      if (comm_refs_[c] == 0) continue;
       sigma_reqs_[static_cast<std::size_t>(part_.owner(c))].push_back(c);
-    });
-    for (auto& reqs : sigma_reqs_) std::sort(reqs.begin(), reqs.end());
+      ++requested;
+    }
     refs_dirty_.clear();
-    sigma_cache_.reset(comm_refs_.size());
+    sigma_cache_.reset(requested);
   }
 
   /// Folds the dirty log into the sorted request lists. A community is
@@ -568,8 +593,7 @@ class RankEngine {
     std::vector<std::vector<vid_t>> add(nranks);
     std::vector<std::vector<vid_t>> del(nranks);
     for (vid_t c : refs_dirty_) {
-      const std::uint32_t* r = comm_refs_.find(c);
-      const bool needed = r != nullptr && *r > 0;
+      const bool needed = comm_refs_[c] > 0;
       const auto owner = static_cast<std::size_t>(part_.owner(c));
       const auto& reqs = sigma_reqs_[owner];
       const bool listed = std::binary_search(reqs.begin(), reqs.end(), c);
@@ -578,7 +602,6 @@ class RankEngine {
       } else if (!needed && listed) {
         del[owner].push_back(c);
       }
-      if (!needed && r != nullptr) comm_refs_.erase(c);  // no zombie zeros
     }
     refs_dirty_.clear();
     for (std::size_t r = 0; r < nranks; ++r) {
@@ -759,7 +782,7 @@ class RankEngine {
     if (agg.count == 0 || agg.max <= 0.0) return -1.0;  // signals "no mover"
     if (eps >= 1.0) return 0.0;                         // all positive gains move
 
-    hist_.reset(0.0, agg.max, plan.gain_histogram_bins);
+    hist_.reset(0.0, agg.max, kGainHistogramBins);
     for (double g : pos_gains_) hist_.add(g);
     comm_.allreduce_vec_sum(hist_.counts(), hist_scratch_);
 
@@ -977,19 +1000,16 @@ class RankEngine {
           });
       const double q = stats.q;
       level.trace.iterations = iter;
-
-      if (opts_.record_trace) {
-        level.trace.moved_fraction.push_back(static_cast<double>(moved.moves) /
-                                             static_cast<double>(n_level_));
-        level.trace.modularity.push_back(q);
-        level.trace.epsilon.push_back(eps);
-        level.trace.gain_cutoff.push_back(cutoff);
-        level.trace.find_seconds.push_back(find_s);
-        level.trace.update_seconds.push_back(update_s);
-        level.trace.prop_seconds.push_back(prop_s);
-        level.trace.prop_records.push_back(stats.prop_sent);
-        level.trace.scanned_vertices.push_back(stats.scanned);
-      }
+      level.trace.moved_fraction.push_back(static_cast<double>(moved.moves) /
+                                           static_cast<double>(n_level_));
+      level.trace.modularity.push_back(q);
+      level.trace.epsilon.push_back(eps);
+      level.trace.gain_cutoff.push_back(cutoff);
+      level.trace.find_seconds.push_back(find_s);
+      level.trace.update_seconds.push_back(update_s);
+      level.trace.prop_seconds.push_back(prop_s);
+      level.trace.prop_records.push_back(stats.prop_sent);
+      level.trace.scanned_vertices.push_back(stats.scanned);
 
       // One stagnant iteration can just mean a low-ε round; require a
       // window of them (all ranks see the same global q/moves, so the
@@ -1002,7 +1022,7 @@ class RankEngine {
         level.trace.stop = cutoff < 0.0 ? LevelStop::kNoPositiveGain : LevelStop::kNoMoves;
         break;
       }
-      if (stagnant >= opts_.refine.stagnation_window) {
+      if (stagnant >= kStagnationWindow) {
         level.trace.stop = LevelStop::kStagnation;
         break;
       }
@@ -1044,10 +1064,10 @@ class RankEngine {
   /// re-derives the level state. The In_Table is the accumulator: equal
   /// (source, target) community pairs sum on arrival.
   void graph_reconstruction(const FlatMap<vid_t>& dense, vid_t next_n) {
-    graph::Partition1D next_part(opts_.partition, next_n, comm_.nranks());
+    graph::Partition1D next_part(next_n, comm_.nranks());
 
     hashing::EdgeTable next_in(out_.size() / 2 + 16, opts_.table_max_load, opts_.hash);
-    pml::Aggregator<EdgeMsg> agg(comm_, opts_.aggregator_capacity);
+    pml::Aggregator<EdgeMsg> agg(comm_);
     const vid_t local_n = static_cast<vid_t>(label_.size());
     for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- reconstruction, runs once per level
       const vid_t* src = dense.find(label_[l]);
@@ -1144,7 +1164,7 @@ class RankEngine {
   FlatMap<weight_t> sin_acc_;      // Σin pre-aggregation, carried forward
 
   // Σtot request bookkeeping (see the comment block above ref_add).
-  FlatMap<std::uint32_t> comm_refs_;
+  std::vector<std::uint32_t> comm_refs_;
   std::vector<std::vector<vid_t>> sigma_reqs_;
   std::vector<vid_t> refs_dirty_;
 
@@ -1319,12 +1339,12 @@ ParResult run_levels(pml::Comm& comm, RankEngine& engine, vid_t n, const ParOpti
   return result;
 }
 
-}  // namespace
-
-ParResult louvain_rank(pml::Comm& comm, const graph::EdgeList& edges, vid_t n_vertices,
+/// The body of one rank of a one-shot run, against the fleet's
+/// communicator. All ranks pass the same `edges`, vertex count `n` (at
+/// least edges.vertex_count()) and validated options, and return the same
+/// result.
+ParResult louvain_rank(pml::Comm& comm, const graph::EdgeList& edges, vid_t n,
                        const ParOptions& opts) {
-  opts.validate();
-  const vid_t n = std::max(n_vertices, edges.vertex_count());
   if (n == 0) {
     ParResult empty;
     empty.transport = comm.transport_name();
@@ -1335,6 +1355,8 @@ ParResult louvain_rank(pml::Comm& comm, const graph::EdgeList& edges, vid_t n_ve
   engine.init_from_edges(edges, n);
   return run_levels(comm, engine, n, opts, busy);
 }
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // One-shot launch bodies behind the plv::louvain front door.
@@ -1521,7 +1543,7 @@ void session_rank_body(pml::Comm& comm, SessionShared& shared) {
 
   hashing::EdgeTable in0(0, opts.table_max_load, opts.hash);
   {
-    const graph::Partition1D part(opts.partition, n, nranks);
+    const graph::Partition1D part(n, nranks);
     fill_in_table(in0, edges, part, me, nranks);
   }
   std::vector<vid_t> labels;  // latest full label vector (every rank)
@@ -1630,16 +1652,15 @@ void session_rank_body(pml::Comm& comm, SessionShared& shared) {
         edges_before == 0 ||
         static_cast<double>(delta.size()) >
             opts.streaming.max_delta_fraction * static_cast<double>(edges_before);
-    // The incremental path needs ownership that survives vertex growth
-    // (cyclic) and the PropMsg retraction encoding (ids below the bit).
-    const bool incremental_capable =
-        opts.partition == graph::PartitionKind::kCyclic && new_n < kRetractBit;
+    // The incremental path needs the PropMsg retraction encoding (ids
+    // below the bit). Cyclic ownership already survives vertex growth.
+    const bool incremental_capable = new_n < kRetractBit;
 
     if (cadence_due || too_big || !incremental_capable) {
       // Cold rebuild inside the resident fleet: refill the In_Table from
       // scratch — a fresh fill_in_table layout, hence bit-identical to a
       // one-shot run on the updated list — and run from singletons.
-      const graph::Partition1D part(opts.partition, new_n, nranks);
+      const graph::Partition1D part(new_n, nranks);
       fill_in_table(in0, edges, part, me, nranks);
       n = new_n;
       batches_since_cold = 0;
@@ -1651,33 +1672,17 @@ void session_rank_body(pml::Comm& comm, SessionShared& shared) {
     // retraction/assertion idea the Out_Table runs per iteration, applied
     // to the level-0 topology — then re-refine from the previous epoch's
     // labels, restricted to the disturbed frontier.
-    const graph::Partition1D part(opts.partition, new_n, nranks);
+    const graph::Partition1D part(new_n, nranks);
     const auto patch = [&](const graph::EdgeList& batch, bool insert) {
       for (const Edge& e : batch) {
-        if (e.u == e.v) {
-          if (part.owner(e.u) == me) {
-            if (insert) {
-              in0.insert_or_add(pack_key(e.u, e.u), 2 * e.w);
-            } else {
-              in0.retract(pack_key(e.u, e.u), 2 * e.w);
-            }
-          }
-          continue;
-        }
-        if (part.owner(e.v) == me) {
+        for_each_in_record(e, [&](const EdgeMsg& m) {
+          if (part.owner(m.dst) != me) return;
           if (insert) {
-            in0.insert_or_add(pack_key(e.u, e.v), e.w);
+            in0.insert_or_add(pack_key(m.src, m.dst), m.w);
           } else {
-            in0.retract(pack_key(e.u, e.v), e.w);
+            in0.retract(pack_key(m.src, m.dst), m.w);
           }
-        }
-        if (part.owner(e.u) == me) {
-          if (insert) {
-            in0.insert_or_add(pack_key(e.v, e.u), e.w);
-          } else {
-            in0.retract(pack_key(e.v, e.u), e.w);
-          }
-        }
+        });
       }
     };
     patch(delta.removals, /*insert=*/false);

@@ -25,12 +25,9 @@
 // rewrite of the Out_Table into the next level's In_Table).
 #pragma once
 
-#include <functional>
-
 #include "common/louvain.hpp"
 #include "core/options.hpp"
 #include "graph/edge_list.hpp"
-#include "pml/comm.hpp"
 
 namespace plv::core {
 
@@ -39,18 +36,6 @@ namespace plv::core {
 /// plv::louvain front door can return it; this alias keeps the historical
 /// core-level name working.)
 using ParResult = plv::Result;
-
-/// SPMD entry point: the body of one rank, running against an existing
-/// communicator (exposed so tests can drive the engine inside their own
-/// Runtime and inspect per-rank behavior). All ranks must pass the same
-/// `edges`, `n_vertices`, and options. Rank 0's return value carries the
-/// full result; other ranks return an empty result.
-///
-/// This is a test seam, not an application entry point — production code
-/// goes through plv::louvain / plv::Session, which own the fleet launch
-/// (the repo lint bans louvain_rank calls outside tests/).
-[[nodiscard]] ParResult louvain_rank(pml::Comm& comm, const graph::EdgeList& edges,
-                                     vid_t n_vertices, const ParOptions& opts);
 
 /// Produces the edge-list slice a given rank contributes to the input
 /// graph (now defined in common/louvain.hpp for the plv::louvain front

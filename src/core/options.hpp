@@ -4,12 +4,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "graph/partition.hpp"
 #include "hashing/hash_fns.hpp"
 #include "pml/transport.hpp"
 #include "pml/transport_check.hpp"
@@ -21,15 +19,6 @@ namespace plv::core {
 // Named values for the knobs whose numeric defaults double as mode
 // switches. Use these instead of raw 0/1 literals at call sites — the
 // literal alone does not say *which* special behavior it selects.
-
-/// ParOptions::aggregator_capacity — size the per-destination coalescing
-/// buffers from the fleet size and record width
-/// (pml::auto_aggregator_capacity) instead of a fixed record count.
-inline constexpr std::size_t kAutoAggregatorCapacity = 0;
-
-/// ParOptions::chunk_pool_watermark — never trim the per-rank chunk free
-/// list (the historical unbounded-pool behavior).
-inline constexpr std::size_t kUnboundedChunkPool = 0;
 
 /// StreamingPlan::rebuild_every_batches — run a full cold rebuild inside
 /// the resident fleet on *every* Session::apply. In this mode an apply is
@@ -86,16 +75,15 @@ enum class ThresholdModel {
 /// LouvainClusteringPlan groups its clustering knobs. Lives nested inside
 /// ParOptions (ParOptions::refine).
 struct RefinePlan {
-  // Convergence. The inner loop stops on zero moves or after
-  // `stagnation_window` consecutive iterations that each fail to beat the
-  // level's best Q so far by q_tolerance (one stagnant low-ε iteration is
-  // normal, not convergence). Measuring against the best Q, not the
-  // previous iteration's, is what ends a limit cycle whose Q alternates
-  // between two values (DESIGN.md decision 3).
+  // Convergence. The inner loop stops on zero moves or after two
+  // consecutive iterations that each fail to beat the level's best Q so
+  // far by q_tolerance (one stagnant low-ε iteration is normal, not
+  // convergence). Measuring against the best Q, not the previous
+  // iteration's, is what ends a limit cycle whose Q alternates between two
+  // values (DESIGN.md decision 3).
   double q_tolerance{1e-6};
   int max_inner_iterations{64};
   int max_levels{32};
-  int stagnation_window{2};
 
   // The paper's heuristic (Section IV-B), Eq. 7 with (p1, p2) from our own
   // Fig. 2 regression (bench/fig2_heuristic_regression): ε(1) ≈ 0.84,
@@ -103,7 +91,6 @@ struct RefinePlan {
   ThresholdModel threshold{ThresholdModel::kPaperEq7};
   double p1{0.03};
   double p2{0.3};
-  std::size_t gain_histogram_bins{512};
 
   // Resolution γ of generalized modularity (1 = Newman's Eq. 3). Larger
   // values favor more, smaller communities.
@@ -121,15 +108,8 @@ struct RefinePlan {
   // rescanned by FIND; everyone else keeps gain 0 and cannot move. A full
   // Out_Table rebuild (DESIGN.md decision 8) reactivates the whole
   // partition, so where the rebuilds fall moves this option's labels.
+  // Levels below 1024 vertices (kMinPrunedLevel) refine unrestricted.
   bool active_scheduling{false};
-
-  // Levels smaller than this refine unrestricted even under active
-  // scheduling. Restricting moves to the frontier admits fewer movers per
-  // round, stretching convergence across more iterations — worth it while
-  // the FIND scan dominates, a net loss once the level graph is small
-  // enough that per-iteration collective rounds dominate and scanning
-  // everything is effectively free. 0 = prune every level.
-  vid_t min_frontier_vertices{1024};
 
   // Vertex-following (Lu & Halappanavar): before the level-0 refine, fold
   // each vertex with exactly one distinct neighbor onto that neighbor
@@ -171,9 +151,7 @@ struct RefinePlan {
 /// EdgeDelta batches into new label epochs. Ignored by one-shot
 /// plv::louvain runs. An incremental apply re-refines only the disturbed
 /// frontier: the endpoints of changed edges, grown by the patches their
-/// moves ship. It needs the cyclic partition (block ownership shifts as
-/// the vertex count grows), so under the block partition every apply
-/// runs cold.
+/// moves ship.
 struct StreamingPlan {
   // Cold-rebuild cadence, in batches: every Nth Session::apply discards
   // the warm state and re-runs from scratch on the updated edge list —
@@ -208,7 +186,6 @@ struct StreamingPlan {
 
 struct ParOptions {
   int nranks{4};
-  graph::PartitionKind partition{graph::PartitionKind::kCyclic};
 
   // Rank substrate: threads (default, shared-memory zero-copy), forked
   // processes over Unix-domain sockets, or a TCP mesh (multi-host capable).
@@ -268,19 +245,6 @@ struct ParOptions {
   hashing::HashKind hash{hashing::HashKind::kFibonacci};
   double table_max_load{0.25};
 
-  // Messaging: per-destination coalescing buffer, in records.
-  // kAutoAggregatorCapacity sizes it from the fleet size and record width
-  // (pml::auto_aggregator_capacity); explicit values are honored for
-  // sweeps.
-  std::size_t aggregator_capacity{kAutoAggregatorCapacity};
-
-  // Free-list high-water mark, in chunk nodes per rank; trimmed at phase
-  // boundaries. kUnboundedChunkPool = never trim.
-  std::size_t chunk_pool_watermark{256};
-
-  // Telemetry.
-  bool record_trace{true};
-
   // The plan groups (see RefinePlan / StreamingPlan above).
   RefinePlan refine;
   StreamingPlan streaming;
@@ -306,9 +270,6 @@ struct ParOptions {
     if (refine.max_levels < 1) {
       fail("max_levels must be >= 1, got " + std::to_string(refine.max_levels));
     }
-    if (refine.stagnation_window < 1) {
-      fail("stagnation_window must be >= 1, got " + std::to_string(refine.stagnation_window));
-    }
     if (refine.threshold != ThresholdModel::kNone) {
       if (!(refine.p1 > 0.0)) {
         fail("p1 must be > 0 when a threshold model is active, got " +
@@ -319,24 +280,8 @@ struct ParOptions {
              std::to_string(refine.p2) + " (use ThresholdModel::kNone to disable the heuristic)");
       }
     }
-    // Every rank allreduces this many counts per iteration, so a huge
-    // value would fail inside the fleet instead of here.
-    constexpr std::size_t kMaxHistogramBins = std::size_t{1} << 20;
-    if (refine.gain_histogram_bins < 1 || refine.gain_histogram_bins > kMaxHistogramBins) {
-      fail("gain_histogram_bins must be in [1, " + std::to_string(kMaxHistogramBins) +
-           "], got " + std::to_string(refine.gain_histogram_bins));
-    }
     if (!(table_max_load > 0.0) || !(table_max_load <= 1.0)) {
       fail("table_max_load must be in (0, 1], got " + std::to_string(table_max_load));
-    }
-    // Records are at most a few dozen bytes; this bound keeps
-    // capacity * record_size far from std::size_t overflow while allowing
-    // any buffer that could conceivably fit in memory.
-    constexpr std::size_t kMaxAggregatorCapacity =
-        std::numeric_limits<std::size_t>::max() / 256;
-    if (aggregator_capacity > kMaxAggregatorCapacity) {
-      fail("aggregator_capacity " + std::to_string(aggregator_capacity) +
-           " would overflow the chunk byte size; use kAutoAggregatorCapacity (0) to auto-size");
     }
     if (streaming.rebuild_every_batches < 0) {
       fail("streaming.rebuild_every_batches must be >= 0, got " +

@@ -112,8 +112,7 @@ class Session {
   /// Requirements checked here: a multi-host TCP fleet can only be driven
   /// from its rank-0 process, edge weights must be finite and
   /// non-negative, and vertex ids must be below kInvalidVid (a streamed
-  /// source's slices are checked inside the fleet). Under the block
-  /// partition every apply runs cold (see StreamingPlan).
+  /// source's slices are checked inside the fleet).
   Session(const GraphSource& source, const core::ParOptions& opts);
 
   /// Shuts the fleet down (close()) if still running.

@@ -1,11 +1,11 @@
-// 1-D vertex partitions.
+// 1-D vertex partition.
 //
 // The paper linearly splits vertices across compute nodes "according to a
-// simple modulo function" (Section IV-A) — our kCyclic. A contiguous
-// kBlock split is provided as an ablation: cyclic spreads the heavy heads
-// of skewed degree distributions across ranks, block preserves locality.
-// Community labels live in the vertex id space, so community ownership is
-// the same map.
+// simple modulo function" (Section IV-A): vertex v lives on rank v mod p.
+// The cyclic map spreads the heavy heads of skewed degree distributions
+// across ranks, and growing the vertex count never moves an existing
+// vertex to another rank or local index. Community labels live in the
+// vertex id space, so community ownership is the same map.
 #pragma once
 
 #include <cassert>
@@ -15,70 +15,33 @@
 
 namespace plv::graph {
 
-enum class PartitionKind { kCyclic, kBlock };
-
 class Partition1D {
  public:
-  Partition1D(PartitionKind kind, vid_t n, int nranks) noexcept
-      : kind_(kind), n_(n), nranks_(nranks) {
-    assert(nranks >= 1);
-  }
-
-  [[nodiscard]] PartitionKind kind() const noexcept { return kind_; }
-  [[nodiscard]] vid_t num_vertices() const noexcept { return n_; }
-  [[nodiscard]] int nranks() const noexcept { return nranks_; }
+  Partition1D(vid_t n, int nranks) noexcept : n_(n), nranks_(nranks) { assert(nranks >= 1); }
 
   [[nodiscard]] int owner(vid_t v) const noexcept {
     assert(v < n_);
-    if (kind_ == PartitionKind::kCyclic) {
-      return static_cast<int>(v % static_cast<vid_t>(nranks_));
-    }
-    // Block: first `rem` ranks get (base+1) vertices.
-    const vid_t base = n_ / static_cast<vid_t>(nranks_);
-    const vid_t rem = n_ % static_cast<vid_t>(nranks_);
-    const vid_t cut = rem * (base + 1);
-    if (v < cut) return static_cast<int>(v / (base + 1));
-    return static_cast<int>(rem + (v - cut) / (base == 0 ? 1 : base));
+    return static_cast<int>(v % static_cast<vid_t>(nranks_));
   }
 
   /// Number of vertices owned by `rank`.
   [[nodiscard]] vid_t local_count(int rank) const noexcept {
     const auto r = static_cast<vid_t>(rank);
     const auto p = static_cast<vid_t>(nranks_);
-    if (kind_ == PartitionKind::kCyclic) {
-      return n_ / p + (r < n_ % p ? 1 : 0);
-    }
-    const vid_t base = n_ / p;
-    const vid_t rem = n_ % p;
-    return base + (r < rem ? 1 : 0);
+    return n_ / p + (r < n_ % p ? 1 : 0);
   }
 
   /// Dense local index of `v` within its owner.
   [[nodiscard]] vid_t to_local(vid_t v) const noexcept {
-    if (kind_ == PartitionKind::kCyclic) {
-      return v / static_cast<vid_t>(nranks_);
-    }
-    return v - first_of(owner(v));
+    return v / static_cast<vid_t>(nranks_);
   }
 
   /// Global id of the `local`-th vertex of `rank`.
   [[nodiscard]] vid_t to_global(int rank, vid_t local) const noexcept {
-    if (kind_ == PartitionKind::kCyclic) {
-      return local * static_cast<vid_t>(nranks_) + static_cast<vid_t>(rank);
-    }
-    return first_of(rank) + local;
+    return local * static_cast<vid_t>(nranks_) + static_cast<vid_t>(rank);
   }
 
  private:
-  [[nodiscard]] vid_t first_of(int rank) const noexcept {
-    const auto r = static_cast<vid_t>(rank);
-    const auto p = static_cast<vid_t>(nranks_);
-    const vid_t base = n_ / p;
-    const vid_t rem = n_ % p;
-    return r * base + (r < rem ? r : rem);
-  }
-
-  PartitionKind kind_;
   vid_t n_;
   int nranks_;
 };

@@ -28,7 +28,7 @@ namespace plv::pml {
 /// 64 records so coalescing never degenerates to per-record sends. For
 /// 16-byte records at small rank counts this yields 4096, the historical
 /// default the benches sweep around.
-[[nodiscard]] constexpr std::size_t auto_aggregator_capacity(
+[[nodiscard]] constexpr std::size_t auto_chunk_capacity(
     int nranks, std::size_t record_size) noexcept {
   constexpr std::size_t kTargetChunkBytes = 64ULL * 1024;
   constexpr std::size_t kMaxTotalBytes = 4ULL * 1024 * 1024;
@@ -48,10 +48,10 @@ class Aggregator {
  public:
   /// `capacity` is the per-destination coalescing buffer size in records;
   /// 0 (the default) auto-sizes from the fleet size and record width via
-  /// auto_aggregator_capacity(). Benches sweep explicit values.
+  /// auto_chunk_capacity(). Benches sweep explicit values.
   explicit Aggregator(Comm& comm, std::size_t capacity = 0)
       : comm_(comm),
-        capacity_(capacity == 0 ? auto_aggregator_capacity(comm.nranks(), sizeof(T))
+        capacity_(capacity == 0 ? auto_chunk_capacity(comm.nranks(), sizeof(T))
                                 : capacity),
         chunk_bytes_(capacity_ * sizeof(T)),
         slots_(static_cast<std::size_t>(comm.nranks())) {}

@@ -466,11 +466,8 @@ class Comm {
   [[nodiscard]] const TrafficStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = TrafficStats{}; }
 
-  /// High-water mark (in chunk nodes) for this rank's free list; trimmed
-  /// at each fine-grained phase boundary. 0 = unbounded (never trim).
-  void set_chunk_pool_watermark(std::size_t nodes) noexcept {
-    transport_->set_pool_watermark(nodes);
-  }
+  /// Nodes on this rank's chunk free list; trimmed to kChunkPoolWatermark
+  /// at each fine-grained phase boundary.
   [[nodiscard]] std::size_t chunk_pool_free_count() const noexcept {
     return transport_->pool_free_count();
   }

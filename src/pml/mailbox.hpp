@@ -105,6 +105,9 @@ class Chunk {
   std::unique_ptr<std::byte[]> storage_;
 };
 
+/// Nodes a ChunkPool keeps on its free list across a phase boundary.
+inline constexpr std::size_t kChunkPoolWatermark = 256;
+
 /// Free list of Chunk nodes. One pool belongs to one rank and is only ever
 /// touched by that rank's thread, so acquire() and release() are plain
 /// pointer swaps — no lock, no atomics. Nodes migrate between ranks
@@ -117,9 +120,8 @@ class Chunk {
 ///
 /// A receive-heavy rank (one that drains far more chunks than it sends)
 /// would otherwise retain its peak in-flight footprint forever, so the
-/// pool carries an optional high-water mark: trim() — called by the Comm
-/// at fine-grained phase boundaries — frees nodes beyond the watermark.
-/// 0 (the default) keeps the historical unbounded behavior.
+/// pool carries a high-water mark: trim() — called by the Comm at
+/// fine-grained phase boundaries — frees nodes beyond the watermark.
 class ChunkPool {
  public:
   ChunkPool() = default;
@@ -157,9 +159,9 @@ class ChunkPool {
     ++free_count_;
   }
 
-  /// High-water mark in nodes; 0 = unbounded (never trim).
+  /// High-water mark in nodes (kChunkPoolWatermark unless set); 0 never
+  /// trims.
   void set_watermark(std::size_t nodes) noexcept { watermark_ = nodes; }
-  [[nodiscard]] std::size_t watermark() const noexcept { return watermark_; }
   [[nodiscard]] std::size_t free_count() const noexcept { return free_count_; }
 
   /// Frees list nodes beyond the watermark. Cheap when already under it
@@ -177,7 +179,7 @@ class ChunkPool {
  private:
   Chunk* free_{nullptr};
   std::size_t free_count_{0};
-  std::size_t watermark_{0};
+  std::size_t watermark_{kChunkPoolWatermark};
 };
 
 /// Lock-free MPSC mailbox with a blocking consumer wait. Producers push

@@ -141,10 +141,10 @@ class Transport {
   [[nodiscard]] virtual bool aborted() const noexcept = 0;
 
   // -- Chunk-pool controls (phase-boundary hygiene) -----------------------
-  virtual void set_pool_watermark(std::size_t nodes) noexcept = 0;
-  /// Called by Comm at fine-grained phase boundaries. Backends are
-  /// noexcept; the ValidatingTransport decorator additionally audits
-  /// chunk ownership here and throws ProtocolError on a leak.
+  /// Trims the free list to kChunkPoolWatermark. Called by Comm at
+  /// fine-grained phase boundaries. Backends are noexcept; the
+  /// ValidatingTransport decorator additionally audits chunk ownership
+  /// here and throws ProtocolError on a leak.
   virtual void trim_pool() = 0;
   [[nodiscard]] virtual std::size_t pool_free_count() const noexcept = 0;
 };

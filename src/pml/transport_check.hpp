@@ -291,9 +291,6 @@ class ValidatingTransport final : public Transport {
   void raise_abort() noexcept override { inner_.raise_abort(); }
   [[nodiscard]] bool aborted() const noexcept override { return inner_.aborted(); }
 
-  void set_pool_watermark(std::size_t nodes) noexcept override {
-    inner_.set_pool_watermark(nodes);
-  }
   void trim_pool() override;
   [[nodiscard]] std::size_t pool_free_count() const noexcept override {
     return inner_.pool_free_count();

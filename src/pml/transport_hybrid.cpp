@@ -114,9 +114,6 @@ class HybridTransport final : public Transport {
     return socket_.aborted() || shared_->aborted.load(std::memory_order_acquire);
   }
 
-  void set_pool_watermark(std::size_t nodes) noexcept override {
-    socket_.set_pool_watermark(nodes);
-  }
   void trim_pool() noexcept override { socket_.trim_pool(); }
   [[nodiscard]] std::size_t pool_free_count() const noexcept override {
     return socket_.pool_free_count();

@@ -309,9 +309,6 @@ class SocketFrameTransport final : public Transport {
 
   [[nodiscard]] bool aborted() const noexcept override { return aborted_; }
 
-  void set_pool_watermark(std::size_t nodes) noexcept override {
-    pool_.set_watermark(nodes);
-  }
   void trim_pool() noexcept override { pool_.trim(); }
   [[nodiscard]] std::size_t pool_free_count() const noexcept override {
     return pool_.free_count();

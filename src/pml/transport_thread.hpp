@@ -105,9 +105,6 @@ class ThreadTransport final : public Transport {
     return shared_->aborted.load(std::memory_order_seq_cst);
   }
 
-  void set_pool_watermark(std::size_t nodes) noexcept override {
-    pool().set_watermark(nodes);
-  }
   void trim_pool() noexcept override { pool().trim(); }
   [[nodiscard]] std::size_t pool_free_count() const noexcept override {
     return shared_->pools[me()].free_count();

@@ -56,12 +56,6 @@ TEST(OptionsValidate, RejectsDegenerateIterationLimits) {
   opts = ParOptions{};
   opts.refine.max_levels = 0;
   expect_rejected(opts, "max_levels");
-  opts = ParOptions{};
-  opts.refine.stagnation_window = 0;
-  expect_rejected(opts, "stagnation_window");
-  opts = ParOptions{};
-  opts.refine.gain_histogram_bins = 0;
-  expect_rejected(opts, "gain_histogram_bins");
 }
 
 TEST(OptionsValidate, RejectsNonPositiveHeuristicParams) {
@@ -89,14 +83,6 @@ TEST(OptionsValidate, RejectsOutOfRangeTableLoad) {
   EXPECT_NO_THROW(opts.validate());
 }
 
-TEST(OptionsValidate, RejectsOverflowingAggregatorCapacity) {
-  ParOptions opts;
-  opts.aggregator_capacity = std::numeric_limits<std::size_t>::max();
-  expect_rejected(opts, "aggregator_capacity");
-  opts.aggregator_capacity = kAutoAggregatorCapacity;
-  EXPECT_NO_THROW(opts.validate());
-}
-
 TEST(OptionsValidate, RejectsNonFiniteResolution) {
   ParOptions opts;
   opts.refine.resolution = 0.0;
@@ -105,19 +91,6 @@ TEST(OptionsValidate, RejectsNonFiniteResolution) {
   expect_rejected(opts, "resolution");
   opts.refine.resolution = std::nan("");
   expect_rejected(opts, "resolution");
-}
-
-// Every rank allreduces gain_histogram_bins counts per iteration, so the
-// bound must hold at the API boundary. Only validate() runs here: no
-// solve is launched with a huge bin count.
-TEST(OptionsValidate, RejectsOversizedHistogramBinCount) {
-  ParOptions opts;
-  opts.refine.gain_histogram_bins = std::size_t{1} << 20;
-  EXPECT_NO_THROW(opts.validate());
-  opts.refine.gain_histogram_bins = (std::size_t{1} << 20) + 1;
-  expect_rejected(opts, "gain_histogram_bins");
-  opts.refine.gain_histogram_bins = std::numeric_limits<std::size_t>::max();
-  expect_rejected(opts, "gain_histogram_bins");
 }
 
 TEST(OptionsValidate, RejectsBadThresholdScaling) {

@@ -75,7 +75,7 @@ TEST_P(AggregatorTest, PreservesRecordContents) {
 TEST_P(AggregatorTest, ZeroCapacityAutoSizes) {
   run(1, [&](Comm& comm) {
     Aggregator<Record> agg(comm, 0);
-    PLV_RANK_CHECK_EQ(agg.capacity(), auto_aggregator_capacity(1, sizeof(Record)));
+    PLV_RANK_CHECK_EQ(agg.capacity(), auto_chunk_capacity(1, sizeof(Record)));
     // 8-byte records, 1 rank: 64 KiB target chunk → 8192 records.
     PLV_RANK_CHECK_EQ(agg.capacity(), 8192u);
     agg.push(0, Record{0, 1});
@@ -109,16 +109,16 @@ INSTANTIATE_TEST_SUITE_P(Transports, AggregatorTest,
 
 TEST(Aggregator, AutoCapacityScalesWithFleetAndRecordSize) {
   // Small fleets get the 64 KiB target chunk.
-  EXPECT_EQ(auto_aggregator_capacity(4, 16), 4096u);   // the historical default
-  EXPECT_EQ(auto_aggregator_capacity(1, 8), 8192u);
+  EXPECT_EQ(auto_chunk_capacity(4, 16), 4096u);   // the historical default
+  EXPECT_EQ(auto_chunk_capacity(1, 8), 8192u);
   // Wide fleets hit the 4 MiB total-footprint cap: nranks * cap * size ≤ 4 MiB.
-  EXPECT_EQ(auto_aggregator_capacity(1024, 16), 256u);
-  EXPECT_LE(1024u * auto_aggregator_capacity(1024, 16) * 16, 4u * 1024 * 1024);
+  EXPECT_EQ(auto_chunk_capacity(1024, 16), 256u);
+  EXPECT_LE(1024u * auto_chunk_capacity(1024, 16) * 16, 4u * 1024 * 1024);
   // But never below the 64-record coalescing floor.
-  EXPECT_EQ(auto_aggregator_capacity(100000, 16), 64u);
+  EXPECT_EQ(auto_chunk_capacity(100000, 16), 64u);
   // Degenerate inputs stay sane.
-  EXPECT_EQ(auto_aggregator_capacity(0, 16), auto_aggregator_capacity(1, 16));
-  EXPECT_EQ(auto_aggregator_capacity(4, 0), 64u);
+  EXPECT_EQ(auto_chunk_capacity(0, 16), auto_chunk_capacity(1, 16));
+  EXPECT_EQ(auto_chunk_capacity(4, 0), 64u);
 }
 
 }  // namespace

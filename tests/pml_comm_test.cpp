@@ -315,17 +315,19 @@ TEST_P(CommTest, RemoteMessageCounterCountsEveryPeerOnEveryRank) {
 TEST_P(CommTest, ChunkPoolTrimmedAtPhaseBoundary) {
   const int n = nranks();
   run([&](Comm& comm) {
-    constexpr std::size_t kWatermark = 4;
-    comm.set_chunk_pool_watermark(kWatermark);
-    // Flood every destination with many small chunks so each rank's pool
-    // accumulates far more released nodes than the watermark...
-    for (int round = 0; round < 8; ++round) {
+    // Flood every destination with one-record chunks, more of them than
+    // the watermark, so each rank's pool accumulates more released nodes
+    // than it may keep...
+    constexpr int kChunksPerDest = 2 * static_cast<int>(kChunkPoolWatermark);
+    for (int round = 0; round < 4; ++round) {
       Aggregator<int> agg(comm, 1);  // one record per chunk
-      for (int d = 0; d < n; ++d) agg.push(d, comm.rank());
+      for (int d = 0; d < n; ++d) {
+        for (int i = 0; i < kChunksPerDest; ++i) agg.push(d, comm.rank());
+      }
       agg.flush_all_final();
       comm.drain_streaming_finalized<int>([](int, std::span<const int>) {});
       // ...and verify the phase boundary clamped the free list back down.
-      PLV_RANK_CHECK(comm.chunk_pool_free_count() <= kWatermark);
+      PLV_RANK_CHECK(comm.chunk_pool_free_count() <= kChunkPoolWatermark);
     }
   });
 }

@@ -92,15 +92,22 @@ TEST(ChunkPool, TrimEnforcesWatermark) {
 }
 
 TEST(ChunkPool, ZeroWatermarkNeverTrims) {
-  ChunkPool pool;  // watermark defaults to 0 = unbounded
+  ChunkPool pool;
+  pool.set_watermark(0);
   std::vector<Chunk*> held;
   for (int i = 0; i < 16; ++i) held.push_back(pool.acquire(16));
   for (Chunk* c : held) pool.release(c);
   pool.trim();
   EXPECT_EQ(pool.free_count(), 16u);
-  pool.set_watermark(0);
+}
+
+TEST(ChunkPool, DefaultWatermarkKeepsKChunkPoolWatermarkNodes) {
+  ChunkPool pool;
+  std::vector<Chunk*> held;
+  for (std::size_t i = 0; i < kChunkPoolWatermark + 8; ++i) held.push_back(pool.acquire(16));
+  for (Chunk* c : held) pool.release(c);
   pool.trim();
-  EXPECT_EQ(pool.free_count(), 16u);
+  EXPECT_EQ(pool.free_count(), kChunkPoolWatermark);
 }
 
 TEST(ChunkPool, TrimUnderWatermarkIsANoOp) {

@@ -100,7 +100,6 @@ class FaultyTransport final : public Transport {
   void raise_abort() noexcept override { aborted_ = true; }
   [[nodiscard]] bool aborted() const noexcept override { return aborted_; }
 
-  void set_pool_watermark(std::size_t) noexcept override {}
   void trim_pool() override {}
   [[nodiscard]] std::size_t pool_free_count() const noexcept override { return 0; }
 

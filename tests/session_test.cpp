@@ -342,33 +342,6 @@ TEST(Session, ExpiredGraphSourceIsRejected) {
   });
 }
 
-TEST(Session, FrontierRequiresCyclicPartition) {
-  // The disturbed-vertex frontier needs the cyclic partition (block
-  // ownership shifts as the vertex count grows), so a block-partition
-  // Session runs every apply cold: bit-identical to a one-shot run.
-  pml::ScopedTransportEnv park;
-  const auto g = gen::lfr({.n = 300, .mu = 0.3, .seed = 112});
-  auto opts = session_opts(2, core::StreamingPlan::fast());
-  opts.partition = graph::PartitionKind::kBlock;
-  Session session(GraphSource::from_edges(g.edges, 300), opts);
-  graph::EdgeList mirror = g.edges;
-  vid_t n = 300;
-  EdgeDelta grow;  // new vertices move every block boundary
-  grow.n_vertices = 305;
-  grow.inserts.add(0, 302, 1.0);
-  EdgeDelta churn;
-  churn.removals.add(grow.inserts.edges().front().u, grow.inserts.edges().front().v, 1.0);
-  churn.inserts.add(5, 250, 1.0);
-  for (const EdgeDelta& delta : {grow, churn}) {
-    n = std::max(n, apply_edge_delta(mirror, delta));
-    const auto snap = session.apply(delta);
-    EXPECT_FALSE(snap->incremental);
-    const auto cold = louvain(GraphSource::from_edges(mirror, n), opts);
-    EXPECT_EQ(snap->labels, cold.final_labels);
-    EXPECT_EQ(snap->modularity, cold.final_modularity);
-  }
-}
-
 TEST(Session, BadRemovalFailsTheApplyButKeepsServingSnapshots) {
   pml::ScopedTransportEnv park;
   const auto g = gen::lfr({.n = 200, .mu = 0.3, .seed = 111});

@@ -49,15 +49,6 @@ The rules:
       sweeps carry `plv-lint: allow(refine-full-scan)` markers explaining
       why each is not a per-iteration full scan.
 
-  rank-entry-ban
-      core::louvain_rank is the per-rank engine body — a test seam for
-      driving one rank inside a harness-owned fleet, not an entry point.
-      Library, bench, and example code must go through the plv::louvain /
-      GraphSource front door (or plv::Session for streaming), which own
-      validation, fleet spawning, and result assembly. Calls are banned
-      outside tests/; src/core/louvain_par.{cpp,hpp} (definition and
-      declaration) are exempt.
-
   raw-mutex-ban
       Locks go through the annotated wrappers in src/common/sync.hpp
       (plv::Mutex / plv::CondVar / plv::MutexLock) so Clang Thread Safety
@@ -100,10 +91,6 @@ import sys
 MAP_BAN_DIRS = ("src/core", "src/pml", "src/hashing")
 CHUNK_DIRS = ("src/core", "src/pml", "src/hashing")
 CHUNK_EXEMPT = ("src/pml/mailbox.hpp",)
-# louvain_rank is callable from tests only; the engine's own translation
-# unit and header hold the definition/declaration.
-RANK_ENTRY_DIRS = ("src", "bench", "examples")
-RANK_ENTRY_EXEMPT = ("src/core/louvain_par.cpp", "src/core/louvain_par.hpp")
 # Full-partition sweeps are banned only in the refine engine's own TU —
 # that is where the frontier lives and where an unmarked `< local_n` loop
 # means a hot path silently scanning every vertex per iteration.
@@ -132,7 +119,6 @@ MAP_BAN_RE = re.compile(
 # operand instead and has no naming dependence.)
 RAW_DELETE_RE = re.compile(r"\bdelete\b[^;]*\b(?:[Cc]hunk\w*|c)\s*;")
 RECYCLE_RE = re.compile(r"(?:\.|->)\s*recycle\s*\(")
-RANK_ENTRY_RE = re.compile(r"\blouvain_rank\s*\(")
 # A for loop whose bound is the local partition size: `for (vid_t l = 0;
 # l < local_n; ...)` and spacing/name variants. The bound name is what
 # makes it a full-partition sweep; the induction variable is free.
@@ -178,11 +164,6 @@ MESSAGES = {
         "full-partition vertex sweep in the refine engine; iterate the "
         "active frontier instead, or mark a sanctioned once-per-level "
         "sweep with plv-lint: allow(refine-full-scan)"
-    ),
-    "rank-entry-ban": (
-        "direct louvain_rank call outside tests/; go through plv::louvain "
-        "/ GraphSource (or plv::Session) — the front door owns "
-        "validation, fleet spawning, and result assembly"
     ),
     "raw-mutex-ban": (
         "raw std lock primitive declared outside common/sync.hpp; use the "
@@ -292,14 +273,13 @@ class FileScope:
         self.rel = rel
         self.map_ban = rel.startswith(MAP_BAN_DIRS)
         self.chunk = rel.startswith(CHUNK_DIRS) and rel not in CHUNK_EXEMPT
-        self.rank_entry = rel.startswith(RANK_ENTRY_DIRS) and rel not in RANK_ENTRY_EXEMPT
         self.refine_scan = rel in REFINE_SCAN_FILES
         self.raw_mutex = rel.startswith(RAW_MUTEX_DIRS) and rel not in RAW_MUTEX_EXEMPT
         self.memory_order = rel.startswith(MEMORY_ORDER_DIRS)
 
     def any(self) -> bool:
-        return (self.map_ban or self.chunk or self.rank_entry
-                or self.refine_scan or self.raw_mutex or self.memory_order)
+        return (self.map_ban or self.chunk or self.refine_scan
+                or self.raw_mutex or self.memory_order)
 
 
 class RegexEngine:
@@ -323,8 +303,6 @@ class RegexEngine:
             if scope.chunk and (RAW_DELETE_RE.search(code_line)
                                 or RECYCLE_RE.search(code_line)):
                 hit(idx, "raw-chunk-release")
-            if scope.rank_entry and RANK_ENTRY_RE.search(code_line):
-                hit(idx, "rank-entry-ban")
             if scope.refine_scan and REFINE_SCAN_RE.search(code_line):
                 hit(idx, "refine-full-scan")
             if scope.raw_mutex and RAW_MUTEX_RE.search(code_line):
@@ -474,10 +452,6 @@ class ClangEngine:
                     if parent in (None, "Chunk"):
                         hit(line, "raw-chunk-release")
 
-            if scope.rank_entry and kind == ci.CursorKind.CALL_EXPR \
-                    and c.spelling == "louvain_rank":
-                hit(line, "rank-entry-ban")
-
             if scope.refine_scan and kind == ci.CursorKind.FOR_STMT:
                 ext = c.extent
                 header = raw[ext.start.offset:min(ext.start.offset + 300,
@@ -546,8 +520,7 @@ class Linter:
         """Lints the tree and returns the violations without printing
         (the seam the self-test suite drives)."""
         self.scanned = 0
-        all_dirs = tuple(sorted({*MAP_BAN_DIRS, *CHUNK_DIRS,
-                                 *RANK_ENTRY_DIRS, *RAW_MUTEX_DIRS,
+        all_dirs = tuple(sorted({*MAP_BAN_DIRS, *CHUNK_DIRS, *RAW_MUTEX_DIRS,
                                  *MEMORY_ORDER_DIRS}))
         for p in self.files_under(all_dirs):
             scope = FileScope(p.relative_to(self.root).as_posix())

@@ -135,28 +135,6 @@ class EngineMixin:
                 "}\n"}
         self.assertEqual(self.lint(tree), [])
 
-    # -- rank-entry-ban ---------------------------------------------------
-
-    RANK_STUB = "int louvain_rank(int);\n"
-
-    def test_rank_entry_outside_tests_fires(self):
-        # The declaration sits in tests/ (outside the rule's scope) so the
-        # regex engine counts only the call, matching the AST engine.
-        tree = {"tests/rank_stub.hpp": self.RANK_STUB,
-                "bench/bad.cpp": '#include "../tests/rank_stub.hpp"\n'
-                                 "int f() { return louvain_rank(0); }\n"}
-        self.assertEqual(rules_of(self.lint(tree)), ["rank-entry-ban"])
-
-    def test_rank_entry_in_tests_is_clean(self):
-        tree = {"tests/ok.cpp": self.RANK_STUB +
-                "int f() { return louvain_rank(0); }\n"}
-        self.assertEqual(self.lint(tree), [])
-
-    def test_rank_entry_definition_tu_is_exempt(self):
-        tree = {"src/core/louvain_par.cpp": self.RANK_STUB +
-                "int f() { return louvain_rank(0); }\n"}
-        self.assertEqual(self.lint(tree), [])
-
     # -- raw-mutex-ban ----------------------------------------------------
 
     def test_raw_mutex_fires(self):
