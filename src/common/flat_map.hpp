@@ -6,8 +6,8 @@
 // per-insert allocation dominate the hot path once the messaging layer is
 // zero-copy. FlatMap is the flat replacement: one contiguous slot array,
 // linear probing, Fibonacci hashing (the paper's Eq. 6 choice,
-// hashing/hash_fns.hpp), tombstone-free backward-shift deletion — the same
-// layout discipline as hashing::EdgeTable, specialized for 32-bit keys.
+// hashing/hash_fns.hpp) — the same layout discipline as hashing::EdgeTable,
+// specialized for 32-bit keys. Entries leave only by clear() or reset().
 //
 // kInvalidVid is reserved as the empty sentinel; real vertex/community ids
 // never take that value (common/types.hpp).
@@ -64,34 +64,6 @@ class FlatMap {
   }
 
   [[nodiscard]] bool contains(vid_t key) const noexcept { return find(key) != nullptr; }
-
-  /// Removes `key` by backward-shifting the probe chain (no tombstones, so
-  /// load stays honest and scans stay dense). Returns false if absent.
-  bool erase(vid_t key) noexcept {
-    if (slots_.empty()) return false;
-    std::size_t idx = slot_of(key);
-    for (;;) {
-      Slot& slot = slots_[idx];
-      if (slot.key == key) break;
-      if (slot.key == kInvalidVid) return false;
-      idx = (idx + 1) & mask_;
-    }
-    std::size_t hole = idx;
-    std::size_t next = (hole + 1) & mask_;
-    while (slots_[next].key != kInvalidVid) {
-      const std::size_t home = slot_of(slots_[next].key);
-      // The entry at `next` may fill `hole` iff hole lies cyclically
-      // within [home, next).
-      if (((next - home) & mask_) >= ((next - hole) & mask_)) {
-        slots_[hole] = slots_[next];
-        hole = next;
-      }
-      next = (next + 1) & mask_;
-    }
-    slots_[hole] = Slot{};
-    --size_;
-    return true;
-  }
 
   /// Visits every entry as (key, Value&). Order is the probe order; callers
   /// must not depend on it semantically.

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <functional>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -113,6 +116,11 @@ inline constexpr std::size_t kGainHistogramBins = 512;
 /// enough that per-iteration collective rounds dominate and scanning
 /// everything is effectively free.
 inline constexpr vid_t kMinPrunedLevel = 1024;
+
+/// Relative tolerance of the per-iteration Σtot conservation check: the
+/// Σtot of all communities sums to 2m up to floating-point drift of the
+/// move-time adjustments.
+inline constexpr double kConservationTolerance = 1e-9;
 
 /// Per-community bookkeeping held by the community's owner.
 struct CommInfo {
@@ -303,7 +311,7 @@ class RankEngine {
     // Σin was accumulated by the propagation drain itself; only the
     // owner exchange and the reduction remain.
     exchange_sigma_in();
-    double q = comm_.allreduce_sum(local_modularity());
+    double q = comm_.allreduce_sum(local_modularity().q);
 
     {
       ScopedPhase sp(timers_, phase::kRefine);
@@ -884,17 +892,48 @@ class RankEngine {
         });
   }
 
-  /// This rank's modularity contribution (sum over owned communities);
-  /// the caller reduces it — standalone or merged with other per-iteration
-  /// scalars into one combined allreduce (see refine).
-  [[nodiscard]] double local_modularity() const {
-    double q_local = 0.0;
+  /// One rank's sums over its owned communities: the modularity
+  /// contribution, and the Σtot and member totals of the conservation
+  /// check.
+  struct CommunitySums {
+    double q{0.0};
+    double sigma_tot{0.0};
+    std::int64_t members{0};
+  };
+
+  /// This rank's CommunitySums, in one pass over the owned communities;
+  /// the caller reduces them — standalone or merged with other
+  /// per-iteration scalars into one combined allreduce (see refine).
+  [[nodiscard]] CommunitySums local_modularity() const {
+    CommunitySums sums;
     comms_.for_each([&](vid_t, const CommInfo& info) {
+      sums.sigma_tot += info.sigma_tot;
+      sums.members += info.members;
       if (info.members <= 0) return;
       const double tot = info.sigma_tot / two_m_;
-      q_local += info.sigma_in / two_m_ - opts_.refine.resolution * tot * tot;
+      sums.q += info.sigma_in / two_m_ - opts_.refine.resolution * tot * tot;
     });
-    return q_local;
+    return sums;
+  }
+
+  /// Conservation check, every iteration in every build: the Σtot of all
+  /// communities must sum to 2m, and their member counts to n_level
+  /// exactly. A move or propagation that loses or duplicates a vertex's
+  /// weight fails the run here instead of skewing Q.
+  void check_conservation(int iter, const CommunitySums& global) const {
+    const auto n = static_cast<std::int64_t>(n_level_);
+    if (std::abs(global.sigma_tot - two_m_) <= kConservationTolerance * two_m_ &&
+        global.members == n) {
+      return;
+    }
+    char text[320];
+    std::snprintf(text, sizeof(text),
+                  "louvain: conservation broken at level %d, iteration %d: sigma_tot sums "
+                  "to %.17g against 2m = %.17g, members sum to %lld against n_level = "
+                  "%lld",
+                  level_index_, iter, global.sigma_tot, two_m_,
+                  static_cast<long long>(global.members), static_cast<long long>(n));
+    throw std::logic_error(text);
   }
 
   // -- REFINE (Algorithm 4) ---------------------------------------------------
@@ -984,21 +1023,25 @@ class RankEngine {
       timers_.add(phase::kStatePropagation, prop_s);
 
       exchange_sigma_in();
-      // One combined reduction closes the iteration: modularity and the
-      // trace's propagation + scan volumes share a single collective
-      // round. The q sum visits ranks in ascending order, exactly like
-      // allreduce_sum.
+      // One combined reduction closes the iteration: modularity, the
+      // conservation sums and the trace's propagation + scan volumes
+      // share a single collective round. The q sum visits ranks in
+      // ascending order, exactly like allreduce_sum.
       struct IterStats {
-        double q;
+        CommunitySums sums;
         std::uint64_t prop_sent;
         std::uint64_t scanned;
       };
       const auto stats = comm_.allreduce(
           IterStats{local_modularity(), prop_sent, scanned_local},
           [](const IterStats& a, const IterStats& b) {
-            return IterStats{a.q + b.q, a.prop_sent + b.prop_sent, a.scanned + b.scanned};
+            return IterStats{{a.sums.q + b.sums.q, a.sums.sigma_tot + b.sums.sigma_tot,
+                              a.sums.members + b.sums.members},
+                             a.prop_sent + b.prop_sent,
+                             a.scanned + b.scanned};
           });
-      const double q = stats.q;
+      check_conservation(iter, stats.sums);
+      const double q = stats.sums.q;
       level.trace.iterations = iter;
       level.trace.moved_fraction.push_back(static_cast<double>(moved.moves) /
                                            static_cast<double>(n_level_));
@@ -1339,78 +1382,24 @@ ParResult run_levels(pml::Comm& comm, RankEngine& engine, vid_t n, const ParOpti
   return result;
 }
 
-/// The body of one rank of a one-shot run, against the fleet's
-/// communicator. All ranks pass the same `edges`, vertex count `n` (at
-/// least edges.vertex_count()) and validated options, and return the same
-/// result.
-ParResult louvain_rank(pml::Comm& comm, const graph::EdgeList& edges, vid_t n,
-                       const ParOptions& opts) {
-  if (n == 0) {
-    ParResult empty;
-    empty.transport = comm.transport_name();
-    return empty;
-  }
-  WallTimer busy;
-  RankEngine engine(comm, opts);
-  engine.init_from_edges(edges, n);
-  return run_levels(comm, engine, n, opts, busy);
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // One-shot launch bodies behind the plv::louvain front door.
 // ---------------------------------------------------------------------------
 
-static ParResult parallel_impl(const graph::EdgeList& edges, vid_t n_vertices,
-                               const ParOptions& opts) {
-  opts.validate();
+/// The one launch body of a one-shot run, for validated options: resolves
+/// the transport, builds each rank's level 0 with `ingest`, runs the level
+/// loop, and returns rank 0's result (every rank's is the same). n = 0
+/// returns an empty result named for the resolved transport without
+/// starting a fleet.
+static ParResult launch_one_shot(
+    vid_t n, const ParOptions& opts,
+    const std::function<void(pml::Comm&, RankEngine&)>& ingest) {
   const pml::TransportKind kind = pml::resolve_transport(opts.transport);
-  // Rank 0 (a fleet thread under the thread transport) hands its result
-  // across to the launching thread; the guarded slot names that edge even
+  // Rank 0 (a fleet thread under every transport) hands its result across
+  // to the launching thread; the guarded slot names that edge even
   // though Runtime::run's join already orders it.
-  struct {
-    plv::Mutex mu;
-    ParResult value PLV_GUARDED_BY(mu);
-  } result;
-  {
-    plv::MutexLock lock(result.mu);
-    result.value.transport = pml::transport_kind_name(kind);
-  }
-  // Vertex-following is a whole-graph preprocessing pass, so it lives on
-  // the launch side: the fleet runs the folded list (against the original
-  // vertex count — folded vertices stay as isolated singletons, keeping
-  // ids and ownership stable) and the unfold rewrites the result after
-  // the ranks have joined.
-  const vid_t n = std::max(n_vertices, edges.vertex_count());
-  FoldPlan fold;
-  const graph::EdgeList* run_edges = &edges;
-  if (opts.refine.vertex_following && n > 0) {
-    fold = plan_vertex_following(edges, n);
-    if (fold.any) run_edges = &fold.edges;
-  }
-  pml::Runtime::run(
-      opts.nranks,
-      [&](pml::Comm& comm) {
-        ParResult local = louvain_rank(comm, *run_edges, n, opts);
-        if (comm.rank() == 0) {
-          plv::MutexLock lock(result.mu);
-          result.value = std::move(local);
-        }
-      },
-      kind, pml::resolve_validate(opts.validate_transport), opts.tcp_options(),
-      opts.hybrid_options());
-  plv::MutexLock lock(result.mu);
-  unfold_vertex_following(fold, result.value);
-  return std::move(result.value);
-}
-
-static ParResult warm_impl(const graph::EdgeList& edges, vid_t n_vertices,
-                           const std::vector<vid_t>& initial_labels,
-                           const ParOptions& opts) {
-  opts.validate();
-  const pml::TransportKind kind = pml::resolve_transport(opts.transport);
-  const vid_t n = std::max(n_vertices, edges.vertex_count());
   struct {
     plv::Mutex mu;
     ParResult value PLV_GUARDED_BY(mu);
@@ -1420,32 +1409,12 @@ static ParResult warm_impl(const graph::EdgeList& edges, vid_t n_vertices,
     result.value.transport = pml::transport_kind_name(kind);
     if (n == 0) return std::move(result.value);
   }
-  // Seeds taken before an EdgeDelta stay usable after it: vertices the
-  // seed does not cover and labels referencing vanished vertices become
-  // singletons instead of rejecting the whole seed.
-  std::vector<vid_t> labels = normalize_warm_labels(initial_labels, n);
-  FoldPlan fold;
-  const graph::EdgeList* run_edges = &edges;
-  if (opts.refine.vertex_following) {
-    fold = plan_vertex_following(edges, n);
-    if (fold.any) {
-      run_edges = &fold.edges;
-      // A folded vertex is an isolated ghost inside the fleet; seeding it
-      // into a real community would inflate that community's member count
-      // (which the singleton-swap guard consults), so its warm label
-      // resets to self. The unfold reattaches it regardless of the seed.
-      for (vid_t v = 0; v < n; ++v) {
-        if (fold.anchor[v] != kInvalidVid) labels[v] = v;
-      }
-    }
-  }
   pml::Runtime::run(
       opts.nranks,
       [&](pml::Comm& comm) {
         WallTimer busy;
         RankEngine engine(comm, opts);
-        engine.init_from_edges(*run_edges, n);
-        engine.warm_start(labels);
+        ingest(comm, engine);
         ParResult local = run_levels(comm, engine, n, opts, busy);
         if (comm.rank() == 0) {
           plv::MutexLock lock(result.mu);
@@ -1455,40 +1424,44 @@ static ParResult warm_impl(const graph::EdgeList& edges, vid_t n_vertices,
       kind, pml::resolve_validate(opts.validate_transport), opts.tcp_options(),
       opts.hybrid_options());
   plv::MutexLock lock(result.mu);
-  unfold_vertex_following(fold, result.value);
   return std::move(result.value);
 }
 
-static ParResult streamed_impl(const EdgeSliceFn& slice_of, vid_t n_vertices,
-                               const ParOptions& opts) {
-  opts.validate();
-  const pml::TransportKind kind = pml::resolve_transport(opts.transport);
-  struct {
-    plv::Mutex mu;
-    ParResult value PLV_GUARDED_BY(mu);
-  } result;
-  {
-    plv::MutexLock lock(result.mu);
-    result.value.transport = pml::transport_kind_name(kind);
-    if (n_vertices == 0) return std::move(result.value);
+/// A one-shot run over an in-memory edge list, cold or (with `warm`)
+/// warm-started. Vertex-following is a whole-graph preprocessing pass, so
+/// it lives on the launch side: the fleet runs the folded list (against
+/// the original vertex count — folded vertices stay as isolated
+/// singletons, keeping ids and ownership stable) and the unfold rewrites
+/// the result after the ranks have joined.
+static ParResult edges_impl(const graph::EdgeList& edges, vid_t n_vertices,
+                            const std::vector<vid_t>* warm, const ParOptions& opts) {
+  const vid_t n = std::max(n_vertices, edges.vertex_count());
+  // Seeds taken before an EdgeDelta stay usable after it: vertices the
+  // seed does not cover and labels referencing vanished vertices become
+  // singletons instead of rejecting the whole seed.
+  std::vector<vid_t> labels;
+  if (warm != nullptr) labels = normalize_warm_labels(*warm, n);
+  FoldPlan fold;
+  const graph::EdgeList* run_edges = &edges;
+  if (opts.refine.vertex_following && n > 0) {
+    fold = plan_vertex_following(edges, n);
+    if (fold.any) {
+      run_edges = &fold.edges;
+      // A folded vertex is an isolated ghost inside the fleet; seeding it
+      // into a real community would inflate that community's member count
+      // (which the singleton-swap guard consults), so its warm label
+      // resets to self. The unfold reattaches it regardless of the seed.
+      for (vid_t v = 0; v < static_cast<vid_t>(labels.size()); ++v) {
+        if (fold.anchor[v] != kInvalidVid) labels[v] = v;
+      }
+    }
   }
-  pml::Runtime::run(
-      opts.nranks,
-      [&](pml::Comm& comm) {
-        WallTimer busy;
-        RankEngine engine(comm, opts);
-        const graph::EdgeList slice = slice_of(comm.rank(), comm.nranks());
-        engine.init_from_slice(slice, n_vertices);
-        ParResult local = run_levels(comm, engine, n_vertices, opts, busy);
-        if (comm.rank() == 0) {
-          plv::MutexLock lock(result.mu);
-          result.value = std::move(local);
-        }
-      },
-      kind, pml::resolve_validate(opts.validate_transport), opts.tcp_options(),
-      opts.hybrid_options());
-  plv::MutexLock lock(result.mu);
-  return std::move(result.value);
+  ParResult result = launch_one_shot(n, opts, [&](pml::Comm&, RankEngine& engine) {
+    engine.init_from_edges(*run_edges, n);
+    if (warm != nullptr) engine.warm_start(labels);
+  });
+  unfold_vertex_following(fold, result);
+  return result;
 }
 
 // ---------------------------------------------------------------------------
@@ -1712,8 +1685,13 @@ namespace plv {
 
 Result louvain(const GraphSource& graph, const core::ParOptions& opts) {
   graph.require_live("louvain");
-  if (graph.stream() != nullptr) {
-    return core::streamed_impl(*graph.stream(), graph.n_vertices(), opts);
+  opts.validate();
+  if (const EdgeSliceFn* slice_of = graph.stream()) {
+    // Streamed runs never fold: no rank holds the whole graph.
+    const vid_t n = graph.n_vertices();
+    return core::launch_one_shot(n, opts, [&](pml::Comm& comm, core::RankEngine& engine) {
+      engine.init_from_slice((*slice_of)(comm.rank(), comm.nranks()), n);
+    });
   }
   if (graph.edges() == nullptr) {
     throw std::invalid_argument("louvain: GraphSource carries no edges and no stream");
@@ -1727,13 +1705,10 @@ Result louvain(const GraphSource& graph, const core::ParOptions& opts) {
     graph::EdgeList updated = *graph.edges();
     const vid_t n =
         std::max(graph.n_vertices(), apply_edge_delta(updated, *graph.delta()));
-    return core::parallel_impl(updated, n, opts);
+    return core::edges_impl(updated, n, nullptr, opts);
   }
-  if (graph.initial_labels() != nullptr) {
-    return core::warm_impl(*graph.edges(), graph.n_vertices(), *graph.initial_labels(),
-                           opts);
-  }
-  return core::parallel_impl(*graph.edges(), graph.n_vertices(), opts);
+  return core::edges_impl(*graph.edges(), graph.n_vertices(), graph.initial_labels(),
+                          opts);
 }
 
 }  // namespace plv

@@ -121,7 +121,8 @@ inline constexpr std::size_t kChunkPoolWatermark = 256;
 /// A receive-heavy rank (one that drains far more chunks than it sends)
 /// would otherwise retain its peak in-flight footprint forever, so the
 /// pool carries a high-water mark: trim() — called by the Comm at
-/// fine-grained phase boundaries — frees nodes beyond the watermark.
+/// fine-grained phase boundaries — frees nodes beyond
+/// kChunkPoolWatermark.
 class ChunkPool {
  public:
   ChunkPool() = default;
@@ -159,16 +160,13 @@ class ChunkPool {
     ++free_count_;
   }
 
-  /// High-water mark in nodes (kChunkPoolWatermark unless set); 0 never
-  /// trims.
-  void set_watermark(std::size_t nodes) noexcept { watermark_ = nodes; }
   [[nodiscard]] std::size_t free_count() const noexcept { return free_count_; }
 
-  /// Frees list nodes beyond the watermark. Cheap when already under it
-  /// (one compare); meant for phase boundaries, not the per-chunk path.
+  /// Frees list nodes beyond kChunkPoolWatermark. Cheap when already
+  /// under it (one compare); meant for phase boundaries, not the
+  /// per-chunk path.
   void trim() noexcept {
-    if (watermark_ == 0) return;
-    while (free_count_ > watermark_) {
+    while (free_count_ > kChunkPoolWatermark) {
       Chunk* c = free_;
       free_ = c->next;
       delete c;
@@ -179,7 +177,6 @@ class ChunkPool {
  private:
   Chunk* free_{nullptr};
   std::size_t free_count_{0};
-  std::size_t watermark_{kChunkPoolWatermark};
 };
 
 /// Lock-free MPSC mailbox with a blocking consumer wait. Producers push

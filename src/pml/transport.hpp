@@ -9,13 +9,12 @@
 //     Collectives publish span pointers through shared slots (zero
 //     serialization), fine-grained sends hand pooled chunk pointers to the
 //     destination's mailbox (zero copy).
-//   HybridTransport (transport_hybrid.cpp) — rank = thread of a forked
-//     process; the proc backend runs it at one rank per process.
-//     Everything crosses Unix-domain stream sockets as length-prefixed
-//     frames; collectives are serialized and recombined in rank order so
-//     results stay bit-identical with the thread backend.
-//   The tcp backend (transport_tcp.cpp) — rank = process on a TCP mesh
-//     across hosts, carrying the same socket frames.
+//   SocketFrameTransport (transport_socket.hpp) — rank = thread of a
+//     forked process (hybrid; the proc backend at one rank per process)
+//     or a process on a TCP mesh across hosts (tcp). Everything crosses
+//     stream sockets as length-prefixed frames; collectives are
+//     serialized and recombined in rank order so results stay
+//     bit-identical with the thread backend.
 //
 // Every backend carries the same flat protocol: each collective is one
 // rank-order alltoallv over all ranks, and each fine-grained phase ends

@@ -1,4 +1,4 @@
-// Socket-process launcher (implementation in transport_hybrid.cpp).
+// Socket-process backends (implementation in transport_hybrid.cpp).
 //
 // Declared separately so comm.hpp can dispatch Runtime::run to the hybrid
 // and proc backends without pulling the POSIX machinery into every
@@ -9,7 +9,8 @@
 // mesh that carries both planes — siblings in one process talk over it
 // like any two ranks, so Comm runs the same flat collectives and
 // quiescence protocol as on every other backend. The proc backend is this
-// launcher at one rank per process.
+// shape at one rank per process. Both run on detail::run_fleet, the one
+// socket-process launcher, which the tcp loopback fleet shares.
 #pragma once
 
 #include <functional>
@@ -35,17 +36,11 @@ struct HybridOptions {
 
 namespace detail {
 
-/// Runs `body` on every rank of a socket-process fleet: forked group
-/// processes (group 0's ranks run as threads of the caller, so rank-0
-/// result capture into caller-scope variables keeps working) with
-/// `shape.ranks_per_proc` rank threads each, wired by a full socketpair
-/// mesh. `shape` is taken as given (callers apply resolve_hybrid_options
-/// where the environment should count) and `name` is the backend name the
-/// ranks report. Fail-fast: the first failing rank aborts the fleet; its
-/// error text (and, for a rank of the calling process, its exception
-/// type) is re-raised on the caller — as RemoteRankError naming the
-/// failed rank when the failure happened in a child. With `validate`,
-/// each rank's transport is wrapped in a ValidatingTransport.
+/// Runs `body` on every rank of a socketpair fleet: run_fleet (see
+/// transport_socket.hpp) over a full socketpair mesh, with
+/// `shape.ranks_per_proc` rank threads per process. `shape` is taken as
+/// given (callers apply resolve_hybrid_options where the environment
+/// should count) and `name` is the backend name the ranks report.
 void run_hybrid_ranks(int nranks, const std::function<void(Comm&)>& body, bool validate,
                       const HybridOptions& shape, const char* name);
 

@@ -3,14 +3,14 @@
 // discipline — everything about moving pml frames over stream-socket file
 // descriptors that does NOT depend on how those descriptors were created.
 //
-// Two launchers host this machinery on different substrates:
-//
-//   HybridTransport (transport_hybrid.cpp) — a pre-fork full mesh of
-//     AF_UNIX socketpairs between forked processes on one host, each
-//     hosting one or more thread ranks (one for the proc backend).
-//   TcpTransport (transport_tcp.cpp) — a listen/connect mesh of TCP
-//     sockets across hosts (or loopback), established from a host list
-//     with a handshake frame.
+// One launcher forks the processes that host this machinery: run_fleet
+// (transport_hybrid.cpp) runs one or more thread ranks per forked process
+// over lanes its caller hands it — a pre-fork full mesh of AF_UNIX
+// socketpairs (proc, hybrid), or one 127.0.0.1 listener per rank that
+// establish_mesh wires into a TCP mesh after the fork (the tcp loopback
+// fleet). The multi-host tcp mode (transport_tcp.cpp) runs one rank in
+// the calling process over a TCP mesh established from a host list with
+// a handshake frame.
 //
 // Wire format: length-prefixed frames, one FrameHeader (fixed 32 bytes,
 // host byte order — every rank of a run must be built for the same
@@ -56,13 +56,12 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <array>
+#include <atomic>
 #include <cassert>
 #include <cerrno>
-#include <csignal>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -100,12 +99,16 @@ static_assert(sizeof(FrameHeader) == 32);
 /// (a torn frame from a dying peer); abort instead of allocating.
 constexpr std::uint64_t kMaxFramePayload = 1ULL << 40;
 
-/// Per-rank exit codes used by the forked-fleet runners (proc, hybrid, and
-/// the TCP loopback self-test). kExitAborted marks a peer-induced unwind,
-/// which the parent does not treat as the originating failure.
+/// Per-rank outcomes of run_rank_body, and the exit codes of run_fleet's
+/// forked processes. A failure report names the first cause: kExitFailed
+/// (the rank threw before it saw the run abort) ahead of
+/// kExitFailedAfterAbort (it threw while the abort flag was already up,
+/// so its error is most likely a consequence), ahead of kExitAborted (a
+/// peer-induced unwind), ahead of kExitClean.
 constexpr int kExitClean = 0;
 constexpr int kExitFailed = 1;
 constexpr int kExitAborted = 2;
+constexpr int kExitFailedAfterAbort = 3;
 
 /// First peer failure this rank observed on the wire: which peer, which
 /// endpoint (empty for anonymous socketpair lanes), and what exactly went
@@ -127,45 +130,26 @@ struct PeerFailure {
   return "recv failed: " + plv::errno_str(err);
 }
 
-/// Decodes a waitpid() status into diagnosable text: exit codes stay
-/// numeric, signals are named (WTERMSIG + strsignal), and a core dump is
-/// noted — so a fault-injection failure reads "killed by signal 9
-/// (Killed)" instead of a raw wait status.
-[[nodiscard]] inline std::string describe_wait_status(int status) {
-  if (WIFEXITED(status)) {
-    return "exited with status " + std::to_string(WEXITSTATUS(status));
-  }
-  if (WIFSIGNALED(status)) {
-    const int sig = WTERMSIG(status);
-    const char* name = ::strsignal(sig);
-    std::string text = "killed by signal " + std::to_string(sig);
-    if (name != nullptr) {
-      text += " (";
-      text += name;
-      text += ")";
-    }
-#ifdef WCOREDUMP
-    if (WCOREDUMP(status)) text += ", core dumped";
-#endif
-    return text;
-  }
-  return "unrecognized wait status " + std::to_string(status);
-}
-
 /// A Transport over an already-wired mesh of stream-socket fds: `fds[r]`
 /// is this rank's socket to rank r (-1 for self). `endpoints[r]`, when
 /// provided, labels peer r in failure reports (e.g. "10.0.0.2:7001");
-/// socketpair backends leave it empty. Single-threaded: one instance per
-/// rank, touched only by that rank.
+/// socketpair backends leave it empty. `group_abort`, when provided, is
+/// the abort flag the rank threads of one process share: raise_abort sets
+/// it beside the Abort frames and aborted() reads it, so a sibling whose
+/// transport never came up (and has no frames to send) still fails its
+/// group. Single-threaded: one instance per rank, touched only by that
+/// rank.
 class SocketFrameTransport final : public Transport {
  public:
   SocketFrameTransport(const char* name, int rank, int nranks, std::vector<int> fds,
-                       std::vector<std::string> endpoints = {})
+                       std::vector<std::string> endpoints = {},
+                       std::atomic<bool>* group_abort = nullptr)
       : name_(name),
         rank_(rank),
         nranks_(nranks),
         fds_(std::move(fds)),
         endpoints_(std::move(endpoints)),
+        group_abort_(group_abort),
         rx_(static_cast<std::size_t>(nranks)),
         pending_collective_(static_cast<std::size_t>(nranks)) {
     assert(static_cast<int>(fds_.size()) == nranks_);
@@ -296,6 +280,7 @@ class SocketFrameTransport final : public Transport {
 
   void raise_abort() noexcept override {
     aborted_ = true;
+    if (group_abort_ != nullptr) group_abort_->store(true, std::memory_order_release);
     FrameHeader h;
     h.kind = kFrameAbort;
     for (int d = 0; d < nranks_; ++d) {
@@ -307,7 +292,10 @@ class SocketFrameTransport final : public Transport {
     }
   }
 
-  [[nodiscard]] bool aborted() const noexcept override { return aborted_; }
+  [[nodiscard]] bool aborted() const noexcept override {
+    return aborted_ ||
+           (group_abort_ != nullptr && group_abort_->load(std::memory_order_acquire));
+  }
 
   void trim_pool() noexcept override { pool_.trim(); }
   [[nodiscard]] std::size_t pool_free_count() const noexcept override {
@@ -650,6 +638,7 @@ class SocketFrameTransport final : public Transport {
   int nranks_;
   std::vector<int> fds_;
   std::vector<std::string> endpoints_;
+  std::atomic<bool>* group_abort_;
   ChunkPool pool_;  // single-threaded: one process = one rank
   std::vector<PeerRx> rx_;
   std::vector<Chunk*> incoming_;  // completed Data/Marker frames, FIFO per src
@@ -662,37 +651,25 @@ class SocketFrameTransport final : public Transport {
   bool aborted_{false};
 };
 
-/// Writes the whole buffer, best effort (status-pipe path).
-inline void write_all(int fd, const char* data, std::size_t len) noexcept {
-  std::size_t off = 0;
-  while (off < len) {
-    const ssize_t k = ::write(fd, data + off, len - off);
-    if (k > 0) {
-      off += static_cast<std::size_t>(k);
-      continue;
-    }
-    if (k < 0 && errno == EINTR) continue;
-    return;
-  }
-}
-
 /// Runs `body` as one rank against an already-wired transport and maps
 /// the outcome to an exit code + error text. The one rank-body runner of
-/// every socket launcher — proc, hybrid and TCP, parent and child sides
-/// alike. `SocketTransport` is SocketFrameTransport or a wrapper around
-/// one that forwards finish(), raise_abort() and peer_failure().
+/// every socket rank: run_fleet's (proc, hybrid and the tcp loopback
+/// fleet) and the multi-host tcp rank's. A rank that throws reads the
+/// abort flag before it raises its own abort: already up means the
+/// failure most likely follows from a peer's, and it reports as
+/// kExitFailedAfterAbort.
 ///
 /// With `report_peer_failure`, a peer failure recorded on the wire
 /// upgrades the generic AbortedError unwind into a RemoteRankError naming
-/// the dead peer and its endpoint. Fleet runners (proc, hybrid, TCP
-/// loopback) leave it off — their parent harvests every rank's exit
-/// status and status pipe, which attributes the originating failure more
-/// precisely than a survivor's view of a closed socket; the single-rank
-/// multi-host TCP mode turns it on because the wire is all it has.
-template <typename SocketTransport>
-int run_rank_body(SocketTransport& transport, const std::function<void(Comm&)>& body,
-                  bool validate, std::string& error_text, std::exception_ptr* keep_exception,
-                  bool report_peer_failure = false) {
+/// the dead peer and its endpoint. run_fleet leaves it off — it harvests
+/// every rank's exit status and status pipe, which attributes the
+/// originating failure more precisely than a survivor's view of a closed
+/// socket; the single-rank multi-host TCP mode turns it on because the
+/// wire is all it has.
+inline int run_rank_body(SocketFrameTransport& transport,
+                         const std::function<void(Comm&)>& body, bool validate,
+                         std::string& error_text, std::exception_ptr* keep_exception,
+                         bool report_peer_failure = false) {
   try {
     if (validate) {
       ValidatingTransport checked(transport);
@@ -730,14 +707,40 @@ int run_rank_body(SocketTransport& transport, const std::function<void(Comm&)>& 
   } catch (const std::exception& e) {
     error_text = e.what();
     if (keep_exception != nullptr) *keep_exception = std::current_exception();
-    transport.raise_abort();
-    return kExitFailed;
   } catch (...) {
     error_text = "unknown exception";
     if (keep_exception != nullptr) *keep_exception = std::current_exception();
-    transport.raise_abort();
-    return kExitFailed;
   }
+  const bool after_abort = transport.aborted();
+  transport.raise_abort();
+  return after_abort ? kExitFailedAfterAbort : kExitFailed;
 }
+
+/// The lanes of a socket-process fleet, as data. `held[r]` lists the
+/// descriptors rank r holds across the fork (its socketpair row, or its
+/// listener); each process closes the rows of the ranks it does not
+/// host. `wire`, when set, turns rank r's held descriptors into its mesh
+/// row after the fork and owns them from the call on; unset, the held
+/// row is the mesh row. `endpoints[r]`, when given, names rank r in
+/// failure reports.
+struct FleetLanes {
+  std::vector<std::vector<int>> held;
+  std::function<std::vector<int>(int rank, std::vector<int> held)> wire;
+  std::vector<std::string> endpoints;
+};
+
+/// The one socket-process launcher (transport_hybrid.cpp): runs `body` on
+/// every rank, `ranks_per_proc` consecutive ranks per process. Group 0's
+/// ranks run as threads of the calling process, so rank-0 result capture
+/// into caller-scope variables keeps working; the other groups are forked
+/// children. Takes ownership of every descriptor in `lanes.held`.
+/// Fail-fast: the first failing rank aborts the fleet. The report goes to
+/// the first failure in kExit* order, ties to the calling process and
+/// then the lowest rank: a failure in the calling process is rethrown
+/// with its type, and one in a child as RemoteRankError naming the rank
+/// and its endpoint. With `validate`, each rank's transport is wrapped in
+/// a ValidatingTransport; `name` is the backend name the ranks report.
+void run_fleet(int nranks, const std::function<void(Comm&)>& body, bool validate,
+               int ranks_per_proc, const char* name, FleetLanes lanes);
 
 }  // namespace plv::pml::detail

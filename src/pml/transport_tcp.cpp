@@ -32,9 +32,11 @@
 //   the dead peer's endpoint for the RemoteRankError survivors throw.
 //
 //   Two launch modes (TcpOptions): the multi-host single-rank mode used
-//   by real fleets, and a loopback self-test fleet (fork + ephemeral
-//   ports, proc-style harvest) so CI exercises the TCP path on one
-//   machine with zero configuration.
+//   by real fleets, and a loopback self-test fleet so CI exercises the
+//   TCP path on one machine with zero configuration. The loopback fleet
+//   is run_fleet (transport_hybrid.cpp), the launcher proc and hybrid
+//   use, at one rank per process: its lanes are one ephemeral listener
+//   per rank, and establish_mesh wires each rank's row after the fork.
 #include "pml/transport_tcp.hpp"
 
 #include <arpa/inet.h>
@@ -42,27 +44,23 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
-#include <stdio_ext.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cctype>
 #include <cerrno>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/errno_util.hpp"
 #include "pml/comm.hpp"
 #include "pml/transport.hpp"
-#include "pml/transport_check.hpp"
 #include "pml/transport_socket.hpp"
 
 namespace plv::pml {
@@ -401,12 +399,8 @@ void check_handshake(const TcpHandshake& hs, int self, int nranks, int expect_ra
 }
 
 using detail::SocketFrameTransport;
-using detail::describe_wait_status;
 using detail::kExitAborted;
-using detail::kExitClean;
-using detail::kExitFailed;
 using detail::run_rank_body;
-using detail::write_all;
 
 /// One rank of a multi-host fleet, running in the calling process: bind,
 /// mesh, body. Exceptions propagate to the caller with their type; a peer
@@ -426,194 +420,38 @@ void run_tcp_single_rank(int nranks, const std::function<void(Comm&)>& body,
   std::exception_ptr exception;
   const int code = run_rank_body(transport, body, validate, error_text, &exception,
                                  /*report_peer_failure=*/true);
-  if (code == kExitFailed && exception) std::rethrow_exception(exception);
+  if (exception) std::rethrow_exception(exception);  // either failure code
   if (code == kExitAborted) throw AbortedError();
 }
 
-/// The loopback self-test fleet: proc-backend topology (rank 0 in the
-/// caller, forked children, status pipes, waitpid harvest) with TCP
-/// loopback lanes instead of socketpairs. Listeners are bound on
-/// ephemeral ports *before* the first fork, so the host list is complete
-/// and race-free when the children start connecting.
+/// The loopback self-test fleet: run_fleet at one rank per process, over
+/// TCP loopback lanes. Listeners are bound on ephemeral ports *before*
+/// the first fork, so the host list is complete and race-free when the
+/// ranks start connecting.
 void run_tcp_loopback_fleet(int nranks, const std::function<void(Comm&)>& body,
                             bool validate, const TcpOptions& opt) {
   const auto n = static_cast<std::size_t>(nranks);
-  const int timeout_ms = opt.connect_timeout_ms;
-  if (nranks == 1) {
-    SocketFrameTransport transport("tcp", 0, 1, {-1});
-    if (validate) {
-      ValidatingTransport checked(transport);
-      {
-        Comm comm(checked);
-        body(comm);
-      }
-      checked.finalize();
-    } else {
-      Comm comm(transport);
-      body(comm);
-    }
-    transport.finish();
-    return;
-  }
-
-  std::vector<int> listeners(n, -1);
+  detail::FleetLanes lanes;
+  lanes.held.resize(n);
   std::vector<std::string> hosts(n);
-  std::vector<std::array<int, 2>> status_pipes(n, {-1, -1});
-  auto close_all = [&]() noexcept {
-    for (int& fd : listeners) {
-      if (fd >= 0) ::close(fd);
-      fd = -1;
-    }
-    for (auto& sp : status_pipes) {
-      for (int& fd : sp) {
-        if (fd >= 0) ::close(fd);
-        fd = -1;
-      }
-    }
-  };
   try {
     for (std::size_t r = 0; r < n; ++r) {
       std::uint16_t bound = 0;
-      listeners[r] = make_listener(0, /*loopback_only=*/true, nranks + 1, &bound);
+      lanes.held[r] = {make_listener(0, /*loopback_only=*/true, nranks + 1, &bound)};
       hosts[r] = "127.0.0.1:" + std::to_string(bound);
     }
-    for (std::size_t r = 1; r < n; ++r) {
-      if (::pipe(status_pipes[r].data()) != 0) {
-        throw std::runtime_error(std::string("pml: pipe failed: ") +
-                                 plv::errno_str(errno));
-      }
-    }
   } catch (...) {
-    close_all();
+    for (const auto& held : lanes.held) {
+      for (const int fd : held) ::close(fd);
+    }
     throw;
   }
-
-  std::fflush(nullptr);
-  std::vector<pid_t> pids(n, -1);
-  for (int r = 1; r < nranks; ++r) {
-    const pid_t pid = ::fork();
-    if (pid == 0) {
-      // Child: one TCP rank. Same stdio/fd hygiene as the proc backend.
-      __fpurge(stdout);
-      __fpurge(stderr);
-      ::signal(SIGPIPE, SIG_IGN);
-      for (int q = 0; q < nranks; ++q) {
-        if (q != r && listeners[static_cast<std::size_t>(q)] >= 0) {
-          ::close(listeners[static_cast<std::size_t>(q)]);
-        }
-        const auto& sp = status_pipes[static_cast<std::size_t>(q)];
-        if (sp[0] >= 0) ::close(sp[0]);
-        if (q != r && sp[1] >= 0) ::close(sp[1]);
-      }
-      const int status_fd = status_pipes[static_cast<std::size_t>(r)][1];
-      int code = kExitFailed;
-      std::string error_text;
-      try {
-        std::vector<int> fds = establish_mesh(
-            r, nranks, hosts, listeners[static_cast<std::size_t>(r)], timeout_ms);
-        SocketFrameTransport transport("tcp", r, nranks, std::move(fds), hosts);
-        code = run_rank_body(transport, body, validate, error_text, nullptr);
-      } catch (const std::exception& e) {
-        error_text = std::string("transport setup failed: ") + e.what();
-      } catch (...) {
-        error_text = "transport setup failed";
-      }
-      if (code == kExitFailed && !error_text.empty()) {
-        write_all(status_fd, error_text.data(), error_text.size());
-      }
-      ::close(status_fd);
-      ::_exit(code);
-    }
-    if (pid < 0) {
-      const int err = errno;
-      close_all();
-      for (int q = 1; q < r; ++q) {
-        int st = 0;
-        ::waitpid(pids[static_cast<std::size_t>(q)], &st, 0);
-      }
-      throw std::runtime_error(std::string("pml: fork failed: ") + plv::errno_str(err));
-    }
-    pids[static_cast<std::size_t>(r)] = pid;
-  }
-
-  for (std::size_t r = 1; r < n; ++r) {
-    ::close(listeners[r]);
-    listeners[r] = -1;
-    ::close(status_pipes[r][1]);
-    status_pipes[r][1] = -1;
-  }
-
-  // Rank 0 here, in the caller's address space.
-  std::string rank0_error;
-  std::exception_ptr rank0_exception;
-  int rank0_code = kExitFailed;
-  try {
-    std::vector<int> fds = establish_mesh(0, nranks, hosts, listeners[0], timeout_ms);
-    listeners[0] = -1;  // establish_mesh closed it
-    SocketFrameTransport transport("tcp", 0, nranks, std::move(fds), hosts);
-    rank0_code = run_rank_body(transport, body, validate, rank0_error, &rank0_exception);
-  } catch (...) {
-    listeners[0] = -1;
-    rank0_exception = std::current_exception();
-    rank0_code = kExitFailed;
-  }
-
-  // Harvest, exactly like the proc backend — but RemoteRankError also
-  // names the dead rank's loopback endpoint.
-  std::vector<std::string> child_error(n);
-  std::vector<int> child_code(n, kExitClean);
-  for (std::size_t r = 1; r < n; ++r) {
-    char buf[4096];
-    for (;;) {
-      const ssize_t k = ::read(status_pipes[r][0], buf, sizeof(buf));
-      if (k > 0) {
-        child_error[r].append(buf, static_cast<std::size_t>(k));
-        continue;
-      }
-      if (k < 0 && errno == EINTR) continue;
-      break;
-    }
-    ::close(status_pipes[r][0]);
-    status_pipes[r][0] = -1;
-    int st = 0;
-    pid_t rc = 0;
-    do {
-      rc = ::waitpid(pids[r], &st, 0);
-    } while (rc < 0 && errno == EINTR);
-    if (rc < 0) {
-      child_code[r] = kExitFailed;
-      child_error[r] = std::string("waitpid failed: ") + plv::errno_str(errno);
-    } else if (WIFEXITED(st)) {
-      child_code[r] = WEXITSTATUS(st);
-    } else {
-      child_code[r] = kExitFailed;
-      child_error[r] = describe_wait_status(st);
-    }
-  }
-
-  if (rank0_code == kExitFailed && rank0_exception) {
-    std::rethrow_exception(rank0_exception);
-  }
-  for (std::size_t r = 1; r < n; ++r) {
-    if (child_code[r] == kExitFailed) {
-      throw RemoteRankError(static_cast<int>(r),
-                            child_error[r].empty() ? "unknown failure" : child_error[r],
-                            hosts[r]);
-    }
-  }
-  for (std::size_t r = 1; r < n; ++r) {
-    if (child_code[r] != kExitClean && child_code[r] != kExitAborted) {
-      throw RemoteRankError(static_cast<int>(r),
-                            "rank exited with unexpected status " +
-                                std::to_string(child_code[r]),
-                            hosts[r]);
-    }
-  }
-  if (rank0_code == kExitAborted ||
-      std::any_of(child_code.begin(), child_code.end(),
-                  [](int c) { return c == kExitAborted; })) {
-    throw AbortedError();
-  }
+  lanes.endpoints = hosts;
+  lanes.wire = [nranks, &hosts, timeout_ms = opt.connect_timeout_ms](
+                   int rank, std::vector<int> held) {
+    return establish_mesh(rank, nranks, hosts, held[0], timeout_ms);
+  };
+  detail::run_fleet(nranks, body, validate, /*ranks_per_proc=*/1, "tcp", std::move(lanes));
 }
 
 }  // namespace

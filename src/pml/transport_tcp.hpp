@@ -20,10 +20,11 @@ class Comm;
 /// How a TCP run finds its peers. Two modes:
 ///
 ///   Loopback self-test fleet (self_rank < 0, hosts empty): the caller
-///     process plays the proc-backend role — it binds nranks ephemeral
-///     listeners on 127.0.0.1, forks ranks 1..n-1, runs rank 0 itself,
-///     and harvests the children. No configuration needed; this is what
-///     CI and `PLV_TRANSPORT=tcp` use on one machine.
+///     binds nranks ephemeral listeners on 127.0.0.1 and runs the proc
+///     backend's launcher over them — rank 0 as a thread of the calling
+///     process, ranks 1..n-1 as forked children, one rank per process. No
+///     configuration needed; this is what CI and `PLV_TRANSPORT=tcp` use
+///     on one machine.
 ///
 ///   Multi-host single rank (self_rank >= 0): this process IS one rank of
 ///     a fleet whose endpoints are `hosts` (one "host:port" per rank, the
@@ -71,9 +72,9 @@ inline constexpr std::uint32_t kTcpHandshakeMagic = 0x706C5631;  // 'p''L''V''1'
 inline constexpr std::uint32_t kTcpProtocolVersion = 1;
 
 /// Runs `body` on every rank of a TCP mesh per `tcp` (see TcpOptions for
-/// the two modes). Fail-fast mirrors the proc backend: the first failing
-/// rank aborts the fleet; remote failures re-raise on the caller as
-/// RemoteRankError carrying the dead rank's endpoint. With `validate`,
+/// the two modes). Fail-fast is the proc backend's: the first failing
+/// rank aborts the fleet, and the loopback fleet re-raises a child's
+/// failure as RemoteRankError carrying its endpoint. With `validate`,
 /// each rank's transport is wrapped in a ValidatingTransport. In
 /// single-rank mode `nranks` must equal hosts.size(); only this process's
 /// rank runs here, and the body's exceptions propagate directly.

@@ -27,26 +27,6 @@ TEST(FlatMap, FindOnEmptyMapIsNull) {
   FlatMap<int> m;
   EXPECT_EQ(m.find(0), nullptr);
   EXPECT_FALSE(m.contains(123));
-  EXPECT_FALSE(m.erase(123));
-}
-
-TEST(FlatMap, EraseBackwardShiftsProbeChains) {
-  FlatMap<int> m;
-  // Grow to a known capacity, then hammer keys into overlapping chains.
-  m.reset(64);
-  const std::size_t cap = m.capacity();
-  for (vid_t k = 0; k < 48; ++k) m.ref(k) = static_cast<int>(k) * 3;
-  EXPECT_EQ(m.capacity(), cap);  // no rehash mid-test
-  for (vid_t k = 0; k < 48; k += 2) EXPECT_TRUE(m.erase(k));
-  EXPECT_EQ(m.size(), 24u);
-  for (vid_t k = 0; k < 48; ++k) {
-    if (k % 2 == 0) {
-      EXPECT_FALSE(m.contains(k)) << k;
-    } else {
-      ASSERT_NE(m.find(k), nullptr) << k;
-      EXPECT_EQ(*m.find(k), static_cast<int>(k) * 3);
-    }
-  }
 }
 
 TEST(FlatMap, ClearKeepsCapacity) {
@@ -99,12 +79,8 @@ TEST(FlatMapReset, InsertEraseAndGrowStillWork) {
   // Up to `expected` distinct keys: no growth, load within 1/2.
   for (int i = 0; i < 3000; ++i) {
     const auto key = static_cast<vid_t>(1 + rng.next_below(expected));
-    if (rng.next_below(4) == 0) {
-      EXPECT_EQ(m.erase(key), ref.erase(key) > 0);
-    } else {
-      m.ref(key) += 1;
-      ref[key] += 1;
-    }
+    m.ref(key) += 1;
+    ref[key] += 1;
   }
   EXPECT_EQ(m.capacity(), cap);
   EXPECT_LE(2 * m.size(), m.capacity());
@@ -156,25 +132,17 @@ TEST(FlatMap, MatchesReferenceMapUnderRandomChurn) {
   Xoshiro256 rng(99);
   for (int i = 0; i < 50000; ++i) {
     const vid_t key = static_cast<vid_t>(rng.next_below(500));
-    switch (rng.next_below(3)) {
-      case 0:
-        m.ref(key) += 1;
-        ref[key] += 1;
-        break;
-      case 1: {
-        const bool erased = m.erase(key);
-        EXPECT_EQ(erased, ref.erase(key) > 0);
-        break;
-      }
-      default: {
-        const int* found = m.find(key);
-        const auto it = ref.find(key);
-        if (it == ref.end()) {
-          EXPECT_EQ(found, nullptr);
-        } else {
-          ASSERT_NE(found, nullptr);
-          EXPECT_EQ(*found, it->second);
-        }
+    if (rng.next_below(2) == 0) {
+      m.ref(key) += 1;
+      ref[key] += 1;
+    } else {
+      const int* found = m.find(key);
+      const auto it = ref.find(key);
+      if (it == ref.end()) {
+        EXPECT_EQ(found, nullptr);
+      } else {
+        ASSERT_NE(found, nullptr);
+        EXPECT_EQ(*found, it->second);
       }
     }
   }

@@ -11,6 +11,12 @@
 //     community count of its level;
 //   * composing the level partitions (labels_at_level of the last level)
 //     gives exactly the final labels.
+//
+// The engine itself checks one more invariant at the end of every refine
+// iteration, in every build, and fails the run with std::logic_error
+// naming the level and iteration if it breaks, so every run here checks
+// it too: the Σtot of all communities sums to 2m (relative tolerance
+// 1e-9), and their member counts sum to the level's vertex count exactly.
 #include <gtest/gtest.h>
 
 #include <cmath>

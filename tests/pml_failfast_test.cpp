@@ -178,6 +178,34 @@ TEST_P(FailFast, RemoteRankErrorNamesTheFailedRank) {
   }
 }
 
+TEST_P(FailFast, FirstFailureIsReportedNotTheLowestRank) {
+  // Rank 3 fails first; rank 1 fails only because the abort unwound it.
+  // The report must name the cause, not the lower-numbered consequence.
+  auto fut = run_async(4, [](Comm& comm) {
+    if (comm.rank() == 3) throw std::runtime_error("first cause");
+    try {
+      for (int i = 0; i < 1'000'000; ++i) comm.barrier();
+    } catch (const AbortedError&) {
+      if (comm.rank() == 1) throw std::runtime_error("consequence");
+      throw;
+    }
+  });
+  ASSERT_TRUE(finished_in_time(fut)) << "run hung";
+  try {
+    fut.get();
+    FAIL() << "expected an exception";
+  } catch (const AbortedError&) {
+    FAIL() << "peer-induced AbortedError masked the original exception";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("first cause"), std::string::npos) << what;
+    EXPECT_EQ(what.find("consequence"), std::string::npos) << what;
+    if (const auto* remote = dynamic_cast<const RemoteRankError*>(&e)) {
+      EXPECT_EQ(remote->rank, 3) << what;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Transports, FailFast,
                          ::testing::ValuesIn(kAllTransports),
                          [](const auto& info) {

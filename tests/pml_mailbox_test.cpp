@@ -74,33 +74,6 @@ TEST(ChunkPool, TracksFreeCount) {
   pool.release(c);
 }
 
-TEST(ChunkPool, TrimEnforcesWatermark) {
-  ChunkPool pool;
-  pool.set_watermark(2);
-  std::vector<Chunk*> held;
-  for (int i = 0; i < 8; ++i) held.push_back(pool.acquire(64));
-  for (Chunk* c : held) pool.release(c);
-  EXPECT_EQ(pool.free_count(), 8u);
-  pool.trim();
-  EXPECT_EQ(pool.free_count(), 2u);
-  // Survivors are still usable after the trim.
-  Chunk* a = pool.acquire(64);
-  Chunk* b = pool.acquire(64);
-  EXPECT_EQ(pool.free_count(), 0u);
-  pool.release(a);
-  pool.release(b);
-}
-
-TEST(ChunkPool, ZeroWatermarkNeverTrims) {
-  ChunkPool pool;
-  pool.set_watermark(0);
-  std::vector<Chunk*> held;
-  for (int i = 0; i < 16; ++i) held.push_back(pool.acquire(16));
-  for (Chunk* c : held) pool.release(c);
-  pool.trim();
-  EXPECT_EQ(pool.free_count(), 16u);
-}
-
 TEST(ChunkPool, DefaultWatermarkKeepsKChunkPoolWatermarkNodes) {
   ChunkPool pool;
   std::vector<Chunk*> held;
@@ -108,11 +81,15 @@ TEST(ChunkPool, DefaultWatermarkKeepsKChunkPoolWatermarkNodes) {
   for (Chunk* c : held) pool.release(c);
   pool.trim();
   EXPECT_EQ(pool.free_count(), kChunkPoolWatermark);
+  // Survivors are still usable after the trim.
+  held.clear();
+  for (std::size_t i = 0; i < kChunkPoolWatermark; ++i) held.push_back(pool.acquire(16));
+  EXPECT_EQ(pool.free_count(), 0u);
+  for (Chunk* c : held) pool.release(c);
 }
 
 TEST(ChunkPool, TrimUnderWatermarkIsANoOp) {
   ChunkPool pool;
-  pool.set_watermark(8);
   Chunk* a = pool.acquire(16);
   pool.release(a);
   pool.trim();
