@@ -1,5 +1,5 @@
 // Micro-benchmark of streaming update latency: Session::apply — resident
-// fleet, in-place In_Table patching, dirty-region re-refine
+// fleet, patched edge-list replica, dirty-region re-refine
 // (StreamingPlan::fast()) — against a cold plv::louvain rebuild of the
 // same updated graph, as a function of batch size (google-benchmark).
 //

@@ -2,7 +2,7 @@
 // representation "can be generalized to a larger class of graph
 // algorithms ... where the topology of the graph changes very frequently"
 // (Section I-B). This example runs that design as a *service*: one
-// plv::Session keeps the rank fleet and the level-0 In_Table resident,
+// plv::Session keeps the rank fleet and the edge list resident,
 // ingests edge-update batches through Session::apply, and serves
 // community queries from immutable epoch-stamped snapshots — while reader
 // threads hammer snapshot()/query() concurrently with the in-flight
@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
   table.print();
 
   std::cout << "\nreaders completed " << reads.load() << " lock-free snapshot reads\n"
-            << "\nEach batch patches the resident In_Table in place and re-refines\n"
+            << "\nEach batch patches the resident edge list and re-refines\n"
                "only the disturbed region around the changed edges, so an apply\n"
                "costs a fraction of a cold run (bench/micro_streaming quantifies\n"
                "the gap). Readers keep serving the previous epoch's snapshot\n"

@@ -17,7 +17,6 @@
 #include "core/row_store.hpp"
 #include "core/session.hpp"
 #include "graph/partition.hpp"
-#include "hashing/edge_table.hpp"
 #include "pml/aggregator.hpp"
 
 namespace plv::core {
@@ -77,7 +76,7 @@ struct SigmaRep {
 };
 
 /// In_Table record: the in-edge (src → dst) of weight w, stored at
-/// owner(dst) under key pack_key(src, dst). Level-0 ingestion builds them
+/// owner(dst) in dst's row under key src. Level-0 ingestion builds them
 /// from the edge list (for_each_in_record); GRAPH RECONSTRUCTION ships
 /// coarse ones whose ids are already dense next-level ids (paper
 /// Algorithm 5).
@@ -132,10 +131,10 @@ struct CommInfo {
 /// The In_Table record rule: how one edge becomes level-0 In_Table
 /// records. A self-loop is the single record A(u, u) = 2w; any other edge
 /// is (u → v) and then (v → u), each stored at owner of its target.
-/// Streamed ingestion, the in-process fill and the Session's patches all
-/// emit through here, in this order: the table layout — and with it every
-/// downstream scan order — depends on the insertion sequence, so one rule
-/// is what keeps a Session cold rebuild bit-identical to a one-shot run.
+/// In-memory and streamed ingestion both emit through here, in this
+/// order: a row sums equal sources in arrival order, so one rule is what
+/// keeps a streamed or Session run bit-identical to a one-shot run on
+/// duplicate edges with fractional weights.
 template <typename Emit>
 void for_each_in_record(const Edge& e, Emit&& emit) {
   if (e.u == e.v) {
@@ -144,20 +143,6 @@ void for_each_in_record(const Edge& e, Emit&& emit) {
   }
   emit(EdgeMsg{e.u, e.v, e.w});
   emit(EdgeMsg{e.v, e.u, e.w});
-}
-
-/// Fills `table` with rank `me`'s slice of the level-0 In_Table. Shared by
-/// one-shot ingestion (RankEngine::init_from_edges) and the Session's
-/// resident-table cold rebuilds: besides the record order, the layout
-/// depends on the starting capacity, so both reset to the same size.
-void fill_in_table(hashing::EdgeTable& table, const graph::EdgeList& edges,
-                   const graph::Partition1D& part, int me, int nranks) {
-  table.reset(2 * edges.size() / static_cast<std::size_t>(nranks) + 16);
-  for (const Edge& e : edges) {
-    for_each_in_record(e, [&](const EdgeMsg& m) {
-      if (part.owner(m.dst) == me) table.insert_or_add(pack_key(m.src, m.dst), m.w);
-    });
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -170,48 +155,28 @@ class RankEngine {
       : comm_(comm),
         opts_(opts),
         part_(0, comm.nranks()),
-        in_table_(0, opts.table_max_load, opts.hash),
-        out_([this](std::size_t l) {
-          return "row of vertex " +
-                 std::to_string(part_.to_global(comm_.rank(), static_cast<vid_t>(l))) +
-                 " at level " + std::to_string(level_index_);
-        }),
+        in_("In_Table", [this](std::size_t l) { return row_name(l); }),
+        out_("Out_Table", [this](std::size_t l) { return row_name(l); }),
         prop_agg_(comm),
         sigma_reqs_(static_cast<std::size_t>(comm.nranks())) {}
 
-  /// Builds level 0 from the (shared, read-only) global edge list.
+  /// Builds level 0 from the (shared, read-only) global edge list: this
+  /// rank's In_Table records, in edge-list order. One-shot runs and every
+  /// Session apply, cold or incremental, build level 0 here.
   void init_from_edges(const graph::EdgeList& edges, vid_t n) {
     part_ = graph::Partition1D(n, comm_.nranks());
     n_level_ = n;
     level_index_ = 0;
-    fill_in_table(in_table_, edges, part_, comm_.rank(), comm_.nranks());
-    init_level_state();
+    const int me = comm_.rank();
+    std::vector<EdgeMsg> records;
+    records.reserve(2 * edges.size() / static_cast<std::size_t>(comm_.nranks()) + 16);
+    for (const Edge& e : edges) {
+      for_each_in_record(e, [&](const EdgeMsg& m) {
+        if (part_.owner(m.dst) == me) records.push_back(m);
+      });
+    }
+    init_level_state(records);
     two_m_ = comm_.allreduce_sum(local_strength_sum());
-  }
-
-  /// Builds level 0 from an already-filled In_Table slice — the Session's
-  /// resident table, moved in for the run and handed back afterwards by
-  /// return_level0_table. A move preserves the exact array layout, so a
-  /// table filled by fill_in_table drives the same run a cold
-  /// init_from_edges on the same list would (bit for bit), while a
-  /// delta-patched table drives the incremental re-refine. Level 0 only
-  /// reads the table, and graph_reconstruction parks it instead of
-  /// dropping it.
-  void init_from_table(hashing::EdgeTable&& in0, vid_t n) {
-    part_ = graph::Partition1D(n, comm_.nranks());
-    n_level_ = n;
-    level_index_ = 0;
-    in_table_ = std::move(in0);
-    lent_level0_ = true;
-    init_level_state();
-    two_m_ = comm_.allreduce_sum(local_strength_sum());
-  }
-
-  /// Gives the table init_from_table took back to `in0`, unchanged.
-  void return_level0_table(hashing::EdgeTable& in0) {
-    assert(lent_level0_);
-    lent_level0_ = false;
-    in0 = std::move(level_index_ == 0 ? in_table_ : parked_level0_);
   }
 
   /// Restricts refinement to the disturbed-vertex frontier: only vertices
@@ -219,7 +184,7 @@ class RankEngine {
   /// retraction/assertion patch later touches, which is exactly how a
   /// neighbor learns its community surroundings changed — may move;
   /// everyone else's gain is zeroed before the threshold histogram. Call
-  /// after init_from_table + warm_start. Level 0 only: reconstruction
+  /// after init_from_edges + warm_start. Level 0 only: reconstruction
   /// lifts the restriction, and the run stops after level 0 when the
   /// frontier never produced a move (see frontier_stalled).
   void enable_frontier(const std::vector<vid_t>& seeds) {
@@ -269,7 +234,7 @@ class RankEngine {
   }
 
   /// Builds level 0 from this rank's slice of a distributed edge stream:
-  /// every In_Table entry is routed to its owner through the aggregators
+  /// every In_Table record is routed to its owner through the aggregators
   /// (records written straight into pooled chunks; the drain blocks on the
   /// mailbox instead of spinning on collectives), so no rank ever
   /// materializes the global edge list.
@@ -278,21 +243,14 @@ class RankEngine {
     part_ = graph::Partition1D(n, comm_.nranks());
     n_level_ = n;
     level_index_ = 0;
-    in_table_.reset(2 * slice.size() / static_cast<std::size_t>(comm_.nranks()) + 16);
     pml::Aggregator<EdgeMsg> agg(comm_);
     for (const Edge& e : slice) {
       for_each_in_record(e, [&](const EdgeMsg& m) { agg.push(part_.owner(m.dst), m); });
     }
     agg.flush_all_final();
-    // Ordered streaming drain: arrivals apply in source-rank order, so the
-    // table layout (and every scan over it) is deterministic across runs
-    // and transports instead of arrival-timing dependent.
-    comm_.drain_streaming_finalized<EdgeMsg>([&](int, std::span<const EdgeMsg> msgs) {
-      for (const EdgeMsg& m : msgs) {
-        in_table_.insert_or_add(pack_key(m.src, m.dst), m.w);
-      }
-    });
-    init_level_state();
+    // Ordered streaming drain: arrivals apply in source-rank order, so
+    // equal sources sum in the same order on every run and transport.
+    init_level_state(drain_records());
     two_m_ = comm_.allreduce_sum(local_strength_sum());
   }
 
@@ -347,11 +305,6 @@ class RankEngine {
   [[nodiscard]] vid_t level_vertex_count() const noexcept { return n_level_; }
 
  private:
-  struct InEdge {
-    vid_t v;      // non-owned endpoint of the in-edge (v, u)
-    weight_t w;
-  };
-
   struct Move {
     vid_t l;      // local index of the moved vertex
     vid_t from;
@@ -367,10 +320,36 @@ class RankEngine {
 
   // -- level state ----------------------------------------------------------
 
-  /// Derives per-vertex arrays, the in-edge adjacency, and community
-  /// bookkeeping from In_Table.
-  void init_level_state() {
-    const vid_t local_n = part_.local_count(comm_.rank());
+  /// Names owned row l in a RowStore's errors.
+  [[nodiscard]] std::string row_name(std::size_t l) const {
+    return "row of vertex " +
+           std::to_string(part_.to_global(comm_.rank(), static_cast<vid_t>(l))) +
+           " at level " + std::to_string(level_index_);
+  }
+
+  /// The In_Table records this rank receives, in ordered-drain order.
+  [[nodiscard]] std::vector<EdgeMsg> drain_records() {
+    std::vector<EdgeMsg> records;
+    comm_.drain_streaming_finalized<EdgeMsg>([&](int, std::span<const EdgeMsg> msgs) {
+      records.insert(records.end(), msgs.begin(), msgs.end());
+    });
+    return records;
+  }
+
+  /// Builds the level's In_Table from this rank's records (src → dst, w),
+  /// in arrival order: each record is appended to its target's row, then
+  /// every row is merged by source, equal sources summed in arrival order.
+  /// Derives the per-vertex arrays, the Out_Table layout and the
+  /// community bookkeeping from the merged rows.
+  void init_level_state(const std::vector<EdgeMsg>& records) {
+    const int me = comm_.rank();
+    const vid_t local_n = part_.local_count(me);
+    std::vector<std::size_t> start(static_cast<std::size_t>(local_n) + 1, 0);
+    for (const EdgeMsg& m : records) ++start[static_cast<std::size_t>(part_.to_local(m.dst)) + 1];
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    in_.reset(start);
+    for (const EdgeMsg& m : records) in_.append(part_.to_local(m.dst), m.src, m.w);
+
     strength_.assign(local_n, 0.0);
     self_loop_.assign(local_n, 0.0);
     label_.resize(local_n);
@@ -378,44 +357,31 @@ class RankEngine {
     left_.assign(local_n, kInvalidVid);
     gain_.assign(local_n, 0.0);
     stay_score_.assign(local_n, 0.0);
-    for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- level setup, runs once per level
-      label_[l] = part_.to_global(comm_.rank(), l);
-    }
-    // CSR-style in-edge adjacency per owned vertex: a full propagation
-    // walks every row and a delta one the moved vertices' rows, instead of
-    // scanning the In_Table's slots.
-    adj_start_.assign(static_cast<std::size_t>(local_n) + 1, 0);
-    in_table_.for_each([&](std::uint64_t key, weight_t w) {
-      const vid_t u = key_lo(key);
-      const vid_t v = key_hi(key);
-      const vid_t l = part_.to_local(u);
-      strength_[l] += w;
-      if (v == u) self_loop_[l] = w;
-      ++adj_start_[static_cast<std::size_t>(l) + 1];
-    });
-    for (std::size_t i = 1; i < adj_start_.size(); ++i) adj_start_[i] += adj_start_[i - 1];
-    adj_.resize(in_table_.size());
-    std::vector<std::size_t> cursor(adj_start_.begin(), adj_start_.end() - 1);
-    in_table_.for_each([&](std::uint64_t key, weight_t w) {
-      const std::size_t l = part_.to_local(key_lo(key));
-      adj_[cursor[l]++] = InEdge{key_hi(key), w};
-    });
-    // The Out_Table's rows take this layout: a row holds at most one entry
-    // per in-edge (DESIGN.md decision 5).
-    out_.reset(adj_start_);
-
     comms_.reset(static_cast<std::size_t>(local_n) + 1);
     for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- level setup, runs once per level
-      const vid_t u = part_.to_global(comm_.rank(), l);
+      in_.merge_row(l);
+      const vid_t u = part_.to_global(me, l);
+      label_[l] = u;
+      for (const RowStore::Entry& e : in_.row(l)) {
+        strength_[l] += e.w;
+        if (e.c == u) self_loop_[l] = e.w;
+      }
       comms_.ref(u) = CommInfo{strength_[l], 0.0, 1};
+      // start turns into the merged layout: in_ keeps its own copy.
+      start[static_cast<std::size_t>(l) + 1] = start[l] + in_.row(l).size();
     }
+    assert(in_.consistent());
+    // The Out_Table's rows take the merged layout: a row holds at most one
+    // entry per in-edge (DESIGN.md decision 5).
+    out_.reset(start);
+
     moves_.clear();
     delta_since_full_ = 0;
     // What a full propagation costs, in records: one per In_Table entry,
     // summed over ranks. The per-iteration full-vs-delta decision compares
     // the (allreduced) delta records since the last full propagation
     // against this.
-    full_prop_records_ = comm_.allreduce_sum(static_cast<std::uint64_t>(in_table_.size()));
+    full_prop_records_ = comm_.allreduce_sum(static_cast<std::uint64_t>(in_.size()));
     // A pinned (Session) frontier applies to the level it was seeded on;
     // coarser levels (and fresh inits) refine unrestricted. Active-vertex
     // scheduling, by contrast, re-arms on every level of at least
@@ -455,8 +421,8 @@ class RankEngine {
     sin_acc_.reset(label_.size() + 1);
     const vid_t local_n = static_cast<vid_t>(label_.size());
     for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- a full propagation ships every in-edge; delta iterations ship only the movers'
-      for (std::size_t i = adj_start_[l]; i < adj_start_[static_cast<std::size_t>(l) + 1]; ++i) {
-        prop_agg_.push(part_.owner(adj_[i].v), PropMsg{adj_[i].v, label_[l], adj_[i].w});
+      for (const RowStore::Entry& e : in_.row(l)) {
+        prop_agg_.push(part_.owner(e.c), PropMsg{e.c, label_[l], e.w});
       }
     }
     prop_agg_.flush_all_final();
@@ -503,13 +469,10 @@ class RankEngine {
     }
     for (const Move& mv : moves_) {
       assert(mv.from < kRetractBit && mv.to < kRetractBit);
-      const std::size_t begin = adj_start_[mv.l];
-      const std::size_t end = adj_start_[static_cast<std::size_t>(mv.l) + 1];
-      for (std::size_t i = begin; i < end; ++i) {
-        const InEdge& e = adj_[i];
-        const int dest = part_.owner(e.v);
-        prop_agg_.push(dest, PropMsg{e.v, mv.from | kRetractBit, e.w});
-        prop_agg_.push(dest, PropMsg{e.v, mv.to, e.w});
+      for (const RowStore::Entry& e : in_.row(mv.l)) {
+        const int dest = part_.owner(e.c);
+        prop_agg_.push(dest, PropMsg{e.c, mv.from | kRetractBit, e.w});
+        prop_agg_.push(dest, PropMsg{e.c, mv.to, e.w});
       }
     }
     prop_agg_.flush_all_final();
@@ -847,8 +810,7 @@ class RankEngine {
         deltas[static_cast<std::size_t>(part_.owner(to))].push_back(
             DeltaMsg{to, +1, strength_[l]});
         ++local.moves;
-        local.delta_records +=
-            2 * (adj_start_[static_cast<std::size_t>(l) + 1] - adj_start_[l]);
+        local.delta_records += 2 * in_.row(l).size();
       }
     }
     for (auto& dest : deltas) {
@@ -1104,12 +1066,11 @@ class RankEngine {
   }
 
   /// Rewrites the Out_Table into the next level's In_Table (all-to-all) and
-  /// re-derives the level state. The In_Table is the accumulator: equal
-  /// (source, target) community pairs sum on arrival.
+  /// re-derives the level state: equal (source, target) community pairs
+  /// merge into one entry of the target's row.
   void graph_reconstruction(const FlatMap<vid_t>& dense, vid_t next_n) {
     graph::Partition1D next_part(next_n, comm_.nranks());
 
-    hashing::EdgeTable next_in(out_.size() / 2 + 16, opts_.table_max_load, opts_.hash);
     pml::Aggregator<EdgeMsg> agg(comm_);
     const vid_t local_n = static_cast<vid_t>(label_.size());
     for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- reconstruction, runs once per level
@@ -1123,22 +1084,14 @@ class RankEngine {
     }
     agg.flush_all_final();
     // Ordered streaming drain: chunks are consumed as they arrive but
-    // applied in ascending source-rank order, so the next level's In_Table
-    // layout is arrival-timing independent (and identical across
+    // applied in ascending source-rank order, so equal pairs sum in an
+    // order independent of arrival timing (and identical across
     // transports).
-    comm_.drain_streaming_finalized<EdgeMsg>([&](int /*src*/,
-                                                 std::span<const EdgeMsg> msgs) {
-      for (const EdgeMsg& m : msgs) {
-        next_in.insert_or_add(pack_key(m.src, m.dst), m.w);
-      }
-    });
-
-    if (lent_level0_ && level_index_ == 0) parked_level0_ = std::move(in_table_);
-    in_table_ = std::move(next_in);
+    const std::vector<EdgeMsg> records = drain_records();
     part_ = next_part;
     n_level_ = next_n;
-    init_level_state();
     ++level_index_;  // the next refine round runs one tolerance step tighter
+    init_level_state(records);
   }
 
   // -- members ---------------------------------------------------------------
@@ -1149,12 +1102,8 @@ class RankEngine {
   vid_t n_level_{0};
   weight_t two_m_{0};
 
-  hashing::EdgeTable in_table_;
-  RowStore out_;  // the Out_Table, one sorted row per owned vertex
-  // A level-0 In_Table lent by init_from_table goes back to its owner
-  // after the run; once a reconstruction replaces it, it waits here.
-  bool lent_level0_{false};
-  hashing::EdgeTable parked_level0_;
+  RowStore in_;   // the In_Table: row l holds the in-edges (source, w) of l
+  RowStore out_;  // the Out_Table: row l holds l's weight into each community
 
   // Per owned vertex (local index):
   std::vector<weight_t> strength_;
@@ -1164,11 +1113,6 @@ class RankEngine {
   std::vector<vid_t> left_;  // community left in the previous iteration, or kInvalidVid
   std::vector<double> gain_;
   std::vector<double> stay_score_;
-
-  // In-edge adjacency (CSR over local indices), derived from In_Table once
-  // per level; row l holds the (v, w) of every in-edge (v, u_l).
-  std::vector<std::size_t> adj_start_;
-  std::vector<InEdge> adj_;
 
   // Moves of the current iteration, replayed by the delta propagation.
   std::vector<Move> moves_;
@@ -1466,9 +1410,9 @@ static ParResult edges_impl(const graph::EdgeList& edges, vid_t n_vertices,
 
 // ---------------------------------------------------------------------------
 // The resident fleet body behind plv::Session (core/session.hpp). Every
-// rank holds a patchable replica of the evolving edge list plus its slice
-// of the level-0 In_Table; rank 0 — which every transport runs inside the
-// calling process — doubles as the command pump.
+// rank holds a patchable replica of the evolving edge list and builds
+// level 0 from it on each apply; rank 0 — which every transport runs
+// inside the calling process — doubles as the command pump.
 // ---------------------------------------------------------------------------
 
 namespace detail {
@@ -1513,31 +1457,21 @@ void session_rank_body(pml::Comm& comm, SessionShared& shared) {
     edges = shared.init_edges;
   }
   vid_t n = std::max(shared.init_n, edges.vertex_count());
-
-  hashing::EdgeTable in0(0, opts.table_max_load, opts.hash);
-  {
-    const graph::Partition1D part(n, nranks);
-    fill_in_table(in0, edges, part, me, nranks);
-  }
   std::vector<vid_t> labels;  // latest full label vector (every rank)
   int batches_since_cold = 0;
 
-  // One detection pass over the resident table, which the engine borrows
-  // by move instead of copying it, and hands back whichever way run_levels
-  // returns. (A throw ends the fleet, and the table with it.) Each pass
-  // gets a fresh engine, and every table the engine sizes takes its
-  // capacity from its own level's counts, so a cold rebuild here scans in
-  // the same order a one-shot run does.
+  // One detection pass: a fresh engine builds level 0 from the replica
+  // through the same init_from_edges a one-shot run uses, so a cold apply
+  // is bit-identical to plv::louvain on the updated list, and an
+  // incremental one differs only in its warm seed and frontier.
   const auto detect = [&](const std::vector<vid_t>* warm,
                           const std::vector<vid_t>* frontier_seeds) {
     WallTimer busy;
     RankEngine engine(comm, opts);
-    engine.init_from_table(std::move(in0), n);
+    engine.init_from_edges(edges, n);
     if (warm != nullptr) engine.warm_start(*warm);
     if (frontier_seeds != nullptr) engine.enable_frontier(*frontier_seeds);
-    ParResult result = run_levels(comm, engine, n, opts, busy);
-    engine.return_level0_table(in0);
-    return result;
+    return run_levels(comm, engine, n, opts, busy);
   };
 
   const auto publish = [&](std::uint64_t seq, const ParResult& r, bool incremental) {
@@ -1628,40 +1562,17 @@ void session_rank_body(pml::Comm& comm, SessionShared& shared) {
     // The incremental path needs the PropMsg retraction encoding (ids
     // below the bit). Cyclic ownership already survives vertex growth.
     const bool incremental_capable = new_n < kRetractBit;
+    n = new_n;
 
     if (cadence_due || too_big || !incremental_capable) {
-      // Cold rebuild inside the resident fleet: refill the In_Table from
-      // scratch — a fresh fill_in_table layout, hence bit-identical to a
-      // one-shot run on the updated list — and run from singletons.
-      const graph::Partition1D part(new_n, nranks);
-      fill_in_table(in0, edges, part, me, nranks);
-      n = new_n;
+      // Cold rebuild inside the resident fleet: run from singletons.
       batches_since_cold = 0;
       publish(cmd.seq, detect(nullptr, nullptr), false);
       continue;
     }
 
-    // Incremental apply: patch the resident In_Table in place — the same
-    // retraction/assertion idea the Out_Table runs per iteration, applied
-    // to the level-0 topology — then re-refine from the previous epoch's
-    // labels, restricted to the disturbed frontier.
-    const graph::Partition1D part(new_n, nranks);
-    const auto patch = [&](const graph::EdgeList& batch, bool insert) {
-      for (const Edge& e : batch) {
-        for_each_in_record(e, [&](const EdgeMsg& m) {
-          if (part.owner(m.dst) != me) return;
-          if (insert) {
-            in0.insert_or_add(pack_key(m.src, m.dst), m.w);
-          } else {
-            in0.retract(pack_key(m.src, m.dst), m.w);
-          }
-        });
-      }
-    };
-    patch(delta.removals, /*insert=*/false);
-    patch(delta.inserts, /*insert=*/true);
-    n = new_n;
-
+    // Incremental apply: re-refine from the previous epoch's labels,
+    // restricted to the disturbed frontier.
     const std::vector<vid_t> warm = normalize_warm_labels(std::move(labels), n);
     std::vector<vid_t> seeds;
     seeds.reserve(2 * delta.size());

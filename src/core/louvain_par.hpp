@@ -5,13 +5,15 @@
 // label vertex it owns. Two tables per rank carry the graph:
 //
 //   In_Table  — ((v, u), w) for owned u: the in-edges, immutable within a
-//               level; the authoritative copy of the topology. A hash
-//               table (hashing::EdgeTable), the accumulator ingestion and
-//               reconstruction sum edges into.
+//               level; the authoritative copy of the topology. A row store
+//               (core/row_store.hpp): one row per owned vertex, sorted by
+//               source v. Ingestion and reconstruction append each record
+//               to its target's row, then merge every row, summing equal
+//               sources in arrival order.
 //   Out_Table — ((u, c), w) for owned u: the out-edge weight of u into
-//               each neighboring *community* c. One row per owned vertex,
-//               sorted by c and laid out over the level's in-edge CSR
-//               (core/row_store.hpp). Filled by the level's first STATE
+//               each neighboring *community* c. A row store too: one row
+//               per owned vertex, sorted by c, laid out over the merged
+//               In_Table row lengths. Filled by the level's first STATE
 //               PROPAGATION, then maintained *incrementally*: moved
 //               vertices ship retraction/assertion pairs that patch rows
 //               in place. A full refill replaces the patches once the

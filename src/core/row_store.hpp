@@ -1,18 +1,19 @@
-// RowStore — the engine's Out_Table: one row of (community, weight)
-// entries per owned vertex, kept sorted by community.
+// RowStore — one row of (key, count, weight) entries per owned vertex,
+// kept sorted by key. It serves both engine tables: in the In_Table,
+// Entry::c is a source vertex (row l holds the in-edges (c → l)); in the
+// Out_Table, a community (row l holds l's weight into community c).
 //
-// Row l spans [start[l], start[l+1]) of one entry array, where `start` is
-// the level's in-edge CSR. Every in-edge of vertex l puts exactly one live
-// contribution into l's row (the In_Table is symmetric at every level), so
-// a row never needs more entries than l has in-edges, and the layout
-// carries no capacity from earlier levels or iterations. A full
-// propagation appends each arriving record to its row, then merges every
-// row: a stable sort by community, with equal communities summed in
-// arrival order, the order an insert-or-add table sums them in. Delta
-// patches binary-search the row: an existing entry accumulates, a fresh
-// one is shift-inserted, and one whose contribution count reaches zero is
-// shift-erased, so emptiness stays exact whatever dust fractional weights
-// leave. The fresh/erased verdicts are hashing::EdgeTable's.
+// Row l spans [start[l], start[l+1]) of one entry array. The In_Table's
+// layout is its record count per row; the Out_Table's is the In_Table's
+// merged row lengths, since every in-edge of l puts exactly one live
+// contribution into l's Out_Table row (the In_Table is symmetric at every
+// level). No layout carries capacity from earlier levels or iterations.
+// A fill appends each record to its row, then merges every row: a stable
+// sort by key, equal keys summed in arrival order, the order an
+// insert-or-add table sums them in. Delta patches binary-search the row:
+// an existing entry accumulates, a fresh one is shift-inserted, and one
+// whose contribution count reaches zero is shift-erased, so emptiness
+// stays exact whatever dust fractional weights leave.
 #pragma once
 
 #include <algorithm>
@@ -31,15 +32,16 @@ namespace plv::core {
 class RowStore {
  public:
   struct Entry {
-    vid_t c;
+    vid_t c;              // the row's key: a community, or an In_Table source
     std::uint32_t count;  // contributions accumulated into this entry
     weight_t w;
   };
 
-  /// `row_name` names a row in the logic_error a broken capacity bound
-  /// throws (default: "row <index>").
-  explicit RowStore(std::function<std::string(std::size_t)> row_name = {})
-      : row_name_(std::move(row_name)) {}
+  /// `table` opens, and `row_name` names a row in, the logic_error a
+  /// broken capacity bound throws (default row name: "row <index>").
+  explicit RowStore(std::string table = "RowStore",
+                    std::function<std::string(std::size_t)> row_name = {})
+      : table_(std::move(table)), row_name_(std::move(row_name)) {}
 
   /// Lays the rows out over CSR offsets `start` (one more than the row
   /// count) and empties them.
@@ -63,8 +65,8 @@ class RowStore {
     ++size_;
   }
 
-  /// Fill: stable-sorts row `r` by community and folds equal communities
-  /// into one entry, summing weights and counts in arrival order.
+  /// Fill: stable-sorts row `r` by key and folds equal keys into one
+  /// entry, summing weights and counts in arrival order.
   void merge_row(std::size_t r) {
     Entry* first = entries_.data() + start_[r];
     Entry* last = first + len_[r];
@@ -108,7 +110,7 @@ class RowStore {
   bool retract(std::size_t r, vid_t c, weight_t w) {
     Entry* last = entries_.data() + start_[r] + len_[r];
     Entry* it = entries_.data() + lower(r, c);
-    if (it == last || it->c != c) fail(r, "retracts a community it does not hold");
+    if (it == last || it->c != c) fail(r, "retracts a key it does not hold");
     it->w -= w;
     if (--it->count > 0) return false;
     std::copy(it + 1, last, it);
@@ -130,9 +132,9 @@ class RowStore {
   /// Live entries over all rows.
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
-  /// The state every complete propagation leaves: each row strictly
-  /// ascending, its counts >= 1 and summing to the row's capacity (one
-  /// contribution per in-edge), and size() the sum of the row lengths.
+  /// The state every complete fill leaves: each row strictly ascending,
+  /// its counts >= 1 and summing to the row's capacity (one contribution
+  /// per slot), and size() the sum of the row lengths.
   [[nodiscard]] bool consistent() const {
     std::size_t total = 0;
     for (std::size_t r = 0; r < len_.size(); ++r) {
@@ -149,7 +151,7 @@ class RowStore {
   }
 
  private:
-  /// Index of row r's first entry whose community is not below c.
+  /// Index of row r's first entry whose key is not below c.
   [[nodiscard]] std::size_t lower(std::size_t r, vid_t c) const {
     const Entry* first = entries_.data() + start_[r];
     const Entry* it = std::lower_bound(first, first + len_[r], c,
@@ -162,16 +164,17 @@ class RowStore {
   }
 
   [[noreturn]] void overflow(std::size_t r) const {
-    fail(r, "needs more entries than its " + std::to_string(start_[r + 1] - start_[r]) +
-                " in-edges: the level's In_Table is not symmetric");
+    fail(r, "needs more than the " + std::to_string(start_[r + 1] - start_[r]) +
+                " entries its layout gives it");
   }
 
   [[noreturn]] void fail(std::size_t r, const std::string& what) const {
-    throw std::logic_error("Out_Table: " +
+    throw std::logic_error(table_ + ": " +
                            (row_name_ ? row_name_(r) : "row " + std::to_string(r)) + " " +
                            what);
   }
 
+  std::string table_;
   std::function<std::string(std::size_t)> row_name_;
   std::vector<std::size_t> start_;
   std::vector<std::uint32_t> len_;

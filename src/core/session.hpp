@@ -3,10 +3,10 @@
 // A Session keeps a whole fleet resident: the ranks spawned at
 // construction stay alive (threads, forked processes, TCP mesh peers, or
 // hybrid groups — whatever ParOptions::transport selects), each holding
-// its replica of the edge list, its slice of the level-0 In_Table, and
-// the current composed partition. apply(EdgeDelta) patches the In_Table
-// in place and re-refines only the disturbed region (StreamingPlan
-// controls the cold-rebuild cadence); snapshot() hands out immutable
+// its replica of the edge list and the current composed partition.
+// apply(EdgeDelta) patches the replica, rebuilds level 0 from it the way
+// a one-shot run does, and re-refines only the disturbed region
+// (StreamingPlan controls the cold-rebuild cadence); snapshot() hands out immutable
 // epoch-stamped partitions that readers keep for as long as they like,
 // without ever blocking an in-flight apply. A batch that removes an edge
 // the graph does not hold, or inserts a negative, NaN or infinite weight

@@ -3,7 +3,7 @@
 // An EdgeList stores one record per *undirected* edge {u,v} (self loops
 // allowed). Duplicate records are legal and mean parallel edges; the CSR
 // builder and the distributed In_Table constructor accumulate their
-// weights, matching the paper's insert-or-add hash semantics.
+// weights in record order, matching the paper's insert-or-add semantics.
 #pragma once
 
 #include <algorithm>

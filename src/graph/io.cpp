@@ -77,6 +77,20 @@ EdgeList load_edge_list_binary(const std::string& path) {
   in.read(reinterpret_cast<char*>(&magic), sizeof magic);
   in.read(reinterpret_cast<char*>(&count), sizeof count);
   if (!in || magic != kBinaryMagic) fail("bad binary edge list header", path);
+  // Checked before allocating, so a count the file cannot hold costs no
+  // memory; dividing the file size, unlike multiplying the count, cannot
+  // wrap.
+  const std::streampos header = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff bytes = in.tellg() - header;
+  in.seekg(header);
+  if (!in) fail("cannot size binary edge list", path);
+  const auto held = static_cast<std::uint64_t>(bytes) / sizeof(Edge);
+  if (count != held) {
+    fail("binary edge list header claims " + std::to_string(count) +
+             " records, but the file holds " + std::to_string(held),
+         path);
+  }
   std::vector<Edge> edges(count);
   in.read(reinterpret_cast<char*>(edges.data()),
           static_cast<std::streamsize>(count * sizeof(Edge)));
@@ -100,8 +114,22 @@ std::vector<vid_t> load_communities(const std::string& path) {
   std::ifstream in(path);
   if (!in) fail("cannot open community file", path);
   std::vector<vid_t> labels;
-  std::uint64_t label = 0;
-  while (in >> label) labels.push_back(static_cast<vid_t>(label));
+  std::string line;
+  std::string tok;
+  std::string extra;
+  std::size_t lineno = 0;
+  while (std::getline(in, line)) {
+    ++lineno;
+    std::istringstream ls(line);
+    if (!(ls >> tok)) continue;  // blank line
+    std::uint64_t label = 0;
+    if (!parse_token(tok, label) || label >= kInvalidVid || ls >> extra) {
+      fail("malformed community label at line " + std::to_string(lineno) +
+               " (one integer below " + std::to_string(kInvalidVid) + " per line)",
+           path);
+    }
+    labels.push_back(static_cast<vid_t>(label));
+  }
   return labels;
 }
 

@@ -20,11 +20,14 @@ namespace plv::graph {
 
 void save_edge_list_text(const EdgeList& edges, const std::string& path);
 
-/// Binary round-trip (magic + count + packed records).
+/// Binary round-trip (magic + count + packed records). A header whose
+/// count the file does not hold is rejected before anything is allocated.
 [[nodiscard]] EdgeList load_edge_list_binary(const std::string& path);
 void save_edge_list_binary(const EdgeList& edges, const std::string& path);
 
-/// Community files: line i holds the community label of vertex i.
+/// Community files: line i holds the community label of vertex i. A line
+/// that is not one integer below kInvalidVid is rejected, naming the line;
+/// blank lines are skipped.
 [[nodiscard]] std::vector<vid_t> load_communities(const std::string& path);
 void save_communities(const std::vector<vid_t>& labels, const std::string& path);
 

@@ -4,7 +4,7 @@
 // lengths when an R-MAT edge set is hashed across the threads of a node.
 // Chaining makes "bin length" directly observable (an open-addressing
 // probe chain conflates neighboring bins), so the hash-behavior bench uses
-// this table while the algorithm itself uses the faster EdgeTable.
+// this table rather than the open-addressing EdgeTable.
 #pragma once
 
 #include <algorithm>

@@ -1,24 +1,23 @@
-// EdgeTable — the open-addressing hash table behind the In_Table.
+// EdgeTable — an open-addressing hash table of ((a,b), w) triples, the
+// paper's In_Table (Algorithms 3 and 5, Section V-C).
 //
-// It stores ((a,b), w) triples keyed by a packed pair of 32-bit ids
-// (source vertex, owned vertex), with insert-or-accumulate semantics and
-// linear probing (Algorithms 3 and 5). It is the engine's accumulator:
-// ingestion sums duplicate edges into it, and reconstruction builds the
-// next level's In_Table in it as equal community pairs arrive. The
-// Out_Table is a per-vertex row store (core/row_store.hpp) laid out over
-// the adjacency derived from this table. reset() sizes a table for its
-// new contents, so a scan never walks capacity left over from a larger
-// past.
+// It stores triples keyed by a packed pair of 32-bit ids, with
+// insert-or-accumulate semantics and linear probing. It is no longer the
+// engine's In_Table: both engine tables are row stores
+// (core/row_store.hpp), and no Session patches this table. What still
+// uses it: perfbench's hash probe and bench/micro_hash time it (Fig. 6d's
+// load factors), and tests/row_store_test.cpp takes it as the reference
+// for the row store's fresh/erased verdicts. reset() sizes a table for
+// its new contents, so a scan never walks capacity left over from a
+// larger past.
 //
-// A Session keeps its level-0 In_Table resident and patches it per batch
-// of edge changes. To support that, every entry carries a contribution
-// count — the number of edge records accumulated into it. retract()
-// removes one contribution, and when the count reaches zero the entry is
-// deleted by backward-shifting the probe chain (tombstone-free, so the
-// table stays dense and scans never stumble over graves). Counting
-// contributions — rather than testing the weight against zero — makes
-// emptiness detection exact even when floating-point accumulation leaves
-// dust in the weight.
+// Every entry carries a contribution count — the number of records
+// accumulated into it. retract() removes one contribution, and when the
+// count reaches zero the entry is deleted by backward-shifting the probe
+// chain (tombstone-free, so the table stays dense and scans never stumble
+// over graves). Counting contributions — rather than testing the weight
+// against zero — makes emptiness detection exact even when floating-point
+// accumulation leaves dust in the weight.
 //
 // The inverse load factor is configurable; the paper settles on 1/4 as the
 // speed/memory compromise (Fig. 6d) and we default to the same.

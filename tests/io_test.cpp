@@ -4,9 +4,11 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 namespace plv::graph {
 namespace {
@@ -37,6 +39,13 @@ class IoTest : public ::testing::Test {
       return e.what();
     }
     return "";
+  }
+
+  /// Overwrites the record count in the header of binary edge list `name`.
+  void set_binary_count(const std::string& name, std::uint64_t count) const {
+    std::fstream f(path(name), std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(sizeof(std::uint64_t));  // past the magic
+    f.write(reinterpret_cast<const char*>(&count), sizeof count);
   }
 
   std::filesystem::path dir_;
@@ -132,6 +141,61 @@ TEST_F(IoTest, BinaryRejectsBadMagic) {
   out << "this is not a plouvain file at all.....";
   out.close();
   EXPECT_THROW(load_edge_list_binary(path("junk.bin")), std::runtime_error);
+}
+
+TEST_F(IoTest, BinaryRejectsACountTheFileCannotHold) {
+  const auto load_error = [&](const std::string& name) -> std::string {
+    try {
+      (void)load_edge_list_binary(path(name));
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  // A bare header claiming 2^62 records used to escape as std::length_error
+  // from the vector it sized.
+  save_edge_list_binary(EdgeList{}, path("empty.bin"));
+  set_binary_count("empty.bin", std::uint64_t{1} << 62);
+  const std::string huge = load_error("empty.bin");
+  EXPECT_NE(huge.find("claims 4611686018427387904 records"), std::string::npos) << huge;
+  EXPECT_NE(huge.find("holds 0"), std::string::npos) << huge;
+  EXPECT_NE(huge.find("empty.bin"), std::string::npos) << huge;
+  // One record more than the file holds.
+  EdgeList edges;
+  edges.add(0, 1, 1.0);
+  edges.add(1, 2, 2.0);
+  edges.add(2, 0, 3.0);
+  save_edge_list_binary(edges, path("three.bin"));
+  set_binary_count("three.bin", 4);
+  const std::string over = load_error("three.bin");
+  EXPECT_NE(over.find("claims 4 records"), std::string::npos) << over;
+  EXPECT_NE(over.find("holds 3"), std::string::npos) << over;
+  set_binary_count("three.bin", 3);
+  EXPECT_EQ(load_error("three.bin"), "");
+}
+
+TEST_F(IoTest, CommunitiesRejectMalformedAndOutOfRangeLabels) {
+  const auto load_error = [&](const std::string& text) -> std::string {
+    {
+      std::ofstream out(path("c.txt"));
+      out << text;
+    }
+    try {
+      (void)load_communities(path("c.txt"));
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  // Used to load as the two labels before the bad token.
+  EXPECT_NE(load_error("0\n1\nx\n2\n").find("line 3"), std::string::npos);
+  // Used to wrap to label 5.
+  EXPECT_NE(load_error("4294967301\n").find("line 1"), std::string::npos);
+  // kInvalidVid is the engine's "no vertex" sentinel.
+  EXPECT_NE(load_error("0\n4294967295\n").find("line 2"), std::string::npos);
+  EXPECT_NE(load_error("0\n-1\n").find("line 2"), std::string::npos);
+  EXPECT_NE(load_error("0 1\n").find("line 1"), std::string::npos);
+  EXPECT_EQ(load_error("0\n\n4294967294\n"), "");
 }
 
 TEST_F(IoTest, CommunityRoundTrip) {

@@ -248,20 +248,11 @@ TEST(ParLouvainStop, GainFloorAboveEveryGainStopsWithNoMoves) {
 }
 
 TEST(ThresholdModelTest, EpsilonShapes) {
-  // Decay model decreases with iteration.
-  double prev = 2.0;
-  for (int iter = 1; iter <= 10; ++iter) {
-    const double e = epsilon_of(ThresholdModel::kExponentialDecay, 1.4, 2.5, iter);
-    EXPECT_LT(e, prev);
-    EXPECT_GE(e, 0.0);
-    EXPECT_LE(e, 1.0);
-    prev = e;
-  }
   // kNone is always 1.
   EXPECT_DOUBLE_EQ(epsilon_of(ThresholdModel::kNone, 0.1, 0.1, 5), 1.0);
   // Eq. 7 with the library defaults: clamped, strictly decreasing, and
   // floored at p1 (the property that keeps refinement moving).
-  prev = 2.0;
+  double prev = 2.0;
   for (int iter = 1; iter <= 30; ++iter) {
     const double e = epsilon_of(ThresholdModel::kPaperEq7, 0.03, 0.3, iter);
     EXPECT_GE(e, 0.03);

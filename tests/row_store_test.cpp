@@ -1,8 +1,8 @@
-// RowStore, the engine's Out_Table, against hashing::EdgeTable, the hash
-// Out_Table it replaced. Seeded random sequences of full fills (rows with
-// repeated communities, records arriving interleaved across rows), fresh
-// and accumulating inserts, and retractions, on tenths and on multiples
-// of √2: after every operation each row must hold exactly the table's
+// RowStore, the engine's In_Table and Out_Table, against hashing::EdgeTable,
+// the hash both tables replaced. Seeded random sequences of full fills
+// (rows with repeated communities, records arriving interleaved across
+// rows), fresh and accumulating inserts, and retractions, on tenths and on
+// multiples of √2: after every operation each row must hold exactly the table's
 // (community, weight, count) entries with weights bit for bit, both must
 // give the same fresh/erased verdicts, and every row must be strictly
 // ascending in community.
@@ -148,11 +148,12 @@ TEST(RowStore, FindReportsLiveEntriesOnly) {
   EXPECT_EQ(rows.size(), 1U);
 }
 
-// A row's capacity is its vertex's in-degree; only a broken In_Table
-// symmetry can push past it, and that must throw instead of overwriting
-// the next row.
+// A row's capacity is its layout: an Out_Table row's is its vertex's
+// in-degree, which only a broken In_Table symmetry can push past, and that
+// must throw instead of overwriting the next row.
 TEST(RowStore, OverrunThrowsNamingTheRow) {
-  RowStore rows([](std::size_t r) { return "vertex " + std::to_string(10 + r) + " at level 3"; });
+  RowStore rows("Out_Table",
+                [](std::size_t r) { return "vertex " + std::to_string(10 + r) + " at level 3"; });
   rows.reset(std::vector<std::size_t>{0, 2, 4});
   rows.append(0, 1, 1.0);
   rows.append(0, 2, 1.0);
@@ -160,7 +161,8 @@ TEST(RowStore, OverrunThrowsNamingTheRow) {
     rows.append(0, 3, 1.0);
     FAIL() << "append past the row's capacity must throw";
   } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("vertex 10 at level 3"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("Out_Table: vertex 10 at level 3"), std::string::npos)
+        << e.what();
   }
   rows.merge_row(0);
   EXPECT_FALSE(rows.add(0, 2, 1.0));  // accumulating into a full row is fine

@@ -145,8 +145,9 @@ TEST(Session, IncrementalApplyKeepsQualityAndExactModularity) {
     apply_edge_delta(mirror, delta);
     const auto snap = session.apply(delta);
     EXPECT_TRUE(snap->incremental);
-    // Reported Q is computed on the patched In_Table — it must agree with
-    // an independent recomputation on the mirror graph.
+    // Reported Q is computed on the In_Table built from the patched
+    // replica — it must agree with an independent recomputation on the
+    // mirror graph.
     const auto csr = graph::Csr::from_edges(mirror, n);
     EXPECT_NEAR(snap->modularity, metrics::modularity(csr, snap->labels), 1e-9);
     // Dirty-region re-refine keeps the partition close to a cold one.
@@ -246,11 +247,12 @@ TEST(Session, EdgeDeletionsShrinkCommunities) {
   EXPECT_NE(snap->community_of(0), snap->community_of(3));
 }
 
-// Each detection pass borrows the resident In_Table by move and must hand
-// it back on every return path. An incremental apply that leaves only
-// zero-weight edges takes run_levels' weightless exit; the next apply
-// patches the table in place, so a table left with the engine would be
-// patched as a moved-from shell.
+// Every apply rebuilds level 0 from the resident edge-list replica. An
+// incremental apply that leaves only zero-weight edges takes run_levels'
+// weightless exit; the next apply must still find the replica and the
+// published labels intact and build its level 0 from them. (The name is
+// from when each pass borrowed a resident level-0 In_Table by move and had
+// to hand it back on every return path.)
 TEST(Session, WeightlessApplyHandsTheResidentTableBack) {
   pml::ScopedTransportEnv park;
   graph::EdgeList triangles;
