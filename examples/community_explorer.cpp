@@ -27,7 +27,7 @@
 
 int main(int argc, char** argv) {
   plv::Cli cli(argc, argv);
-  const int ranks = static_cast<int>(cli.get_int("ranks", 4));
+  const int ranks = cli.get_int<int>("ranks", 4);
 
   plv::graph::EdgeList edges;
   std::vector<plv::vid_t> ground_truth;
@@ -37,9 +37,9 @@ int main(int argc, char** argv) {
               << cli.get_string("graph", "") << '\n';
   } else {
     plv::gen::LfrParams p;
-    p.n = static_cast<plv::vid_t>(cli.get_int("n", 5000));
+    p.n = cli.get_int<plv::vid_t>("n", 5000);
     p.mu = cli.get_double("mu", 0.4);
-    p.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+    p.seed = cli.get_int<std::uint64_t>("seed", 1);
     const auto g = plv::gen::lfr(p);
     edges = g.edges;
     ground_truth = g.ground_truth;

@@ -27,10 +27,10 @@
 
 int main(int argc, char** argv) {
   plv::Cli cli(argc, argv);
-  const int batches = static_cast<int>(cli.get_int("batches", 5));
-  const int batch_edges = static_cast<int>(cli.get_int("batch-edges", 200));
-  const int ranks = static_cast<int>(cli.get_int("ranks", 4));
-  const int readers = static_cast<int>(cli.get_int("readers", 2));
+  const int batches = cli.get_int<int>("batches", 5);
+  const int batch_edges = cli.get_int<int>("batch-edges", 200);
+  const int ranks = cli.get_int<int>("ranks", 4);
+  const int readers = cli.get_int<int>("readers", 2);
 
   // Start from a clear 8-community structure...
   auto planted = plv::gen::planted_partition(

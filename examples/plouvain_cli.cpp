@@ -74,7 +74,7 @@ plv::graph::EdgeList load(const plv::Cli& cli) {
 
 plv::core::ParOptions par_opts(const plv::Cli& cli) {
   plv::core::ParOptions opts;
-  opts.nranks = static_cast<int>(cli.get_int("ranks", 4));
+  opts.nranks = cli.get_int<int>("ranks", 4);
   // --heuristics switches the whole convergence-heuristic bundle on
   // (active-vertex scheduling, vertex-following, threshold scaling —
   // RefinePlan::heuristics()); the default keeps every heuristic off,
@@ -92,10 +92,10 @@ plv::core::ParOptions par_opts(const plv::Cli& cli) {
     opts.hosts = plv::pml::parse_host_list(cli.get_string("hosts", ""));
     opts.nranks = static_cast<int>(opts.hosts.size());
   }
-  opts.tcp_rank = static_cast<int>(cli.get_int("rank", -1));
+  opts.tcp_rank = cli.get_int<int>("rank", -1);
   // Hybrid group shape: N consecutive ranks share one forked process
   // (0 keeps the PLV_RANKS_PER_PROC / built-in default).
-  opts.ranks_per_proc = static_cast<int>(cli.get_int("ranks-per-proc", 0));
+  opts.ranks_per_proc = cli.get_int<int>("ranks-per-proc", 0);
   return opts;
 }
 
@@ -108,11 +108,11 @@ bool is_silent_rank(const plv::core::ParOptions& opts) {
 int cmd_gen(const plv::Cli& cli) {
   const auto kind = cli.get_string("kind", "lfr");
   const auto out = cli.get_string("out", "graph.txt");
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  const auto seed = cli.get_int<std::uint64_t>("seed", 1);
   plv::graph::EdgeList edges;
   if (kind == "lfr") {
     plv::gen::LfrParams p;
-    p.n = static_cast<plv::vid_t>(cli.get_int("n", 10000));
+    p.n = cli.get_int<plv::vid_t>("n", 10000);
     p.mu = cli.get_double("mu", 0.3);
     p.seed = seed;
     const auto g = plv::gen::lfr(p);
@@ -122,20 +122,20 @@ int cmd_gen(const plv::Cli& cli) {
     }
   } else if (kind == "bter") {
     plv::gen::BterParams p;
-    p.n = static_cast<plv::vid_t>(cli.get_int("n", 10000));
+    p.n = cli.get_int<plv::vid_t>("n", 10000);
     p.gcc_target = cli.get_double("gcc", 0.5);
     p.seed = seed;
     edges = plv::gen::bter(p).edges;
   } else if (kind == "rmat") {
     plv::gen::RmatParams p;
-    p.scale = static_cast<unsigned>(cli.get_int("scale", 14));
-    p.edge_factor = static_cast<unsigned>(cli.get_int("edge-factor", 16));
+    p.scale = cli.get_int<unsigned>("scale", 14);
+    p.edge_factor = cli.get_int<unsigned>("edge-factor", 16);
     p.seed = seed;
     edges = plv::gen::rmat(p);
   } else if (kind == "er") {
     plv::gen::ErParams p;
-    p.n = static_cast<plv::vid_t>(cli.get_int("n", 10000));
-    p.m = static_cast<std::uint64_t>(cli.get_int("m", 80000));
+    p.n = cli.get_int<plv::vid_t>("n", 10000);
+    p.m = cli.get_int<std::uint64_t>("m", 80000);
     p.seed = seed;
     edges = plv::gen::erdos_renyi(p);
   } else {

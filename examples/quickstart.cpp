@@ -16,7 +16,7 @@
 
 int main(int argc, char** argv) {
   plv::Cli cli(argc, argv);
-  const int ranks = static_cast<int>(cli.get_int("ranks", 4));
+  const int ranks = cli.get_int<int>("ranks", 4);
 
   // 1. Describe the graph as an undirected weighted edge list.
   plv::graph::EdgeList edges;

@@ -18,10 +18,10 @@
 int main(int argc, char** argv) {
   plv::Cli cli(argc, argv);
   plv::gen::BterParams p;
-  p.n = static_cast<plv::vid_t>(cli.get_int("n", 20000));
+  p.n = cli.get_int<plv::vid_t>("n", 20000);
   p.gcc_target = cli.get_double("gcc", 0.55);
-  p.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  const int max_ranks = static_cast<int>(cli.get_int("max-ranks", 8));
+  p.seed = cli.get_int<std::uint64_t>("seed", 1);
+  const int max_ranks = cli.get_int<int>("max-ranks", 8);
 
   const auto g = plv::gen::bter(p);
   const auto csr = plv::graph::Csr::from_edges(g.edges, p.n);

@@ -2,12 +2,18 @@
 //
 // Supports `--name value` and `--name=value` forms plus boolean flags.
 // Unknown options are collected so callers can reject or ignore them.
+// Numeric reads take the whole token or throw: `--ranks 3x` is an error,
+// not 3.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 namespace plv {
@@ -40,14 +46,17 @@ class Cli {
     return v ? *v : std::string(dflt);
   }
 
-  [[nodiscard]] std::int64_t get_int(std::string_view name, std::int64_t dflt) const {
-    auto v = get(name);
-    return v && !v->empty() ? std::stoll(*v) : dflt;
+  /// Integer option read straight into the caller's type T, or `dflt`
+  /// when absent. Trailing junk, a sign T cannot hold or a value outside
+  /// T's range throws std::invalid_argument naming the option and token.
+  template <typename T = std::int64_t>
+  [[nodiscard]] T get_int(std::string_view name, std::type_identity_t<T> dflt) const {
+    static_assert(std::is_integral_v<T>);
+    return get_number<T>(name, dflt);
   }
 
   [[nodiscard]] double get_double(std::string_view name, double dflt) const {
-    auto v = get(name);
-    return v && !v->empty() ? std::stod(*v) : dflt;
+    return get_number<double>(name, dflt);
   }
 
   [[nodiscard]] bool get_bool(std::string_view name, bool dflt = false) const {
@@ -62,6 +71,21 @@ class Cli {
   }
 
  private:
+  template <typename T>
+  [[nodiscard]] T get_number(std::string_view name, T dflt) const {
+    const auto v = get(name);
+    if (!v || v->empty()) return dflt;
+    T value{};
+    const char* end = v->data() + v->size();
+    const auto [ptr, ec] = std::from_chars(v->data(), end, value);
+    if (ec == std::errc{} && ptr == end) return value;
+    const char* what = ec == std::errc::result_out_of_range ? "is out of range"
+                       : std::is_floating_point_v<T>      ? "is not a number"
+                       : std::is_signed_v<T>              ? "is not an integer"
+                                                          : "is not a non-negative integer";
+    throw std::invalid_argument("--" + std::string(name) + " '" + *v + "' " + what);
+  }
+
   void parse() {
     for (std::size_t i = 0; i < args_.size(); ++i) {
       std::string_view arg = args_[i];

@@ -10,7 +10,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "common/flat_map.hpp"
 #include "common/histogram.hpp"
 #include "common/sync.hpp"
 #include "common/timer.hpp"
@@ -59,13 +58,6 @@ struct DeltaMsg {
   weight_t dtot;
 };
 
-/// Σin contribution for community c (Algorithm 4 lines 18-20).
-struct SinMsg {
-  vid_t c;
-  std::int32_t pad{0};
-  weight_t w;
-};
-
 /// Reply record of the Σtot fetch: community totals plus member count.
 /// The member count feeds the singleton-swap guard (see
 /// find_best_community); it is a consistent snapshot of the previous
@@ -92,8 +84,7 @@ struct LabelPair {
   vid_t c;
 };
 
-static_assert(sizeof(PropMsg) == 16 && sizeof(DeltaMsg) == 16 && sizeof(SinMsg) == 16 &&
-              sizeof(EdgeMsg) == 16);
+static_assert(sizeof(PropMsg) == 16 && sizeof(DeltaMsg) == 16 && sizeof(EdgeMsg) == 16);
 
 // ---------------------------------------------------------------------------
 // Refine constants.
@@ -124,7 +115,6 @@ inline constexpr double kConservationTolerance = 1e-9;
 /// Per-community bookkeeping held by the community's owner.
 struct CommInfo {
   weight_t sigma_tot{0};
-  weight_t sigma_in{0};
   std::int64_t members{0};
 };
 
@@ -219,7 +209,7 @@ class RankEngine {
       assert(label_[l] < n_level_);
     }
     // Rebuild Σtot / member counts at the community owners.
-    comms_.clear();
+    std::fill(comms_.begin(), comms_.end(), CommInfo{});
     std::vector<std::vector<DeltaMsg>> deltas(static_cast<std::size_t>(comm_.nranks()));
     for (vid_t l = 0; l < static_cast<vid_t>(label_.size()); ++l) {
       deltas[static_cast<std::size_t>(part_.owner(label_[l]))].push_back(
@@ -227,7 +217,7 @@ class RankEngine {
     }
     const auto incoming = comm_.exchange(deltas);
     for (const DeltaMsg& d : incoming) {
-      CommInfo& info = comms_.ref(d.c);
+      CommInfo& info = owned_community(d.c);
       info.sigma_tot += d.dtot;
       info.members += d.dcount;
     }
@@ -266,10 +256,9 @@ class RankEngine {
       ScopedPhase sp(timers_, phase::kStatePropagation);
       state_propagation_full();
     }
-    // Σin was accumulated by the propagation drain itself; only the
-    // owner exchange and the reduction remain.
-    exchange_sigma_in();
-    double q = comm_.allreduce_sum(local_modularity().q);
+    // The propagation drain summed this rank's own-community weight; one
+    // reduction turns it into the level's opening Q.
+    double q = modularity(comm_.allreduce_sum(local_modularity()));
 
     {
       ScopedPhase sp(timers_, phase::kRefine);
@@ -281,9 +270,9 @@ class RankEngine {
     // Dense relabeling must happen before reconstruction so both the
     // reported labels and the next level's In_Table use the same ids.
     const std::vector<vid_t> relabel_keys = gather_surviving_communities();
-    FlatMap<vid_t> dense(relabel_keys.size());
+    std::vector<vid_t> dense(n_level_, kInvalidVid);  // community id -> next-level id
     for (std::size_t i = 0; i < relabel_keys.size(); ++i) {
-      dense.ref(relabel_keys[i]) = static_cast<vid_t>(i);
+      dense[relabel_keys[i]] = static_cast<vid_t>(i);
     }
     level.num_communities = relabel_keys.size();
     level.labels = gather_level_labels(dense);
@@ -327,6 +316,12 @@ class RankEngine {
            " at level " + std::to_string(level_index_);
   }
 
+  /// Bookkeeping of community c, which this rank must own.
+  [[nodiscard]] CommInfo& owned_community(vid_t c) {
+    assert(part_.owner(c) == comm_.rank());
+    return comms_[part_.to_local(c)];
+  }
+
   /// The In_Table records this rank receives, in ordered-drain order.
   [[nodiscard]] std::vector<EdgeMsg> drain_records() {
     std::vector<EdgeMsg> records;
@@ -357,7 +352,8 @@ class RankEngine {
     left_.assign(local_n, kInvalidVid);
     gain_.assign(local_n, 0.0);
     stay_score_.assign(local_n, 0.0);
-    comms_.reset(static_cast<std::size_t>(local_n) + 1);
+    comms_.resize(local_n);
+    sigma_cache_.assign(n_level_, SigmaRep{0, 0});
     for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- level setup, runs once per level
       in_.merge_row(l);
       const vid_t u = part_.to_global(me, l);
@@ -366,7 +362,7 @@ class RankEngine {
         strength_[l] += e.w;
         if (e.c == u) self_loop_[l] = e.w;
       }
-      comms_.ref(u) = CommInfo{strength_[l], 0.0, 1};
+      comms_[l] = CommInfo{strength_[l], 1};  // owned community u has local index l
       // start turns into the merged layout: in_ keeps its own copy.
       start[static_cast<std::size_t>(l) + 1] = start[l] + in_.row(l).size();
     }
@@ -412,13 +408,12 @@ class RankEngine {
   /// Σtot request bookkeeping from scratch and clears the floating-point
   /// dust the patches left in Out_Table entries on non-integer weights
   /// (Σtot itself stays delta-maintained for the whole level). The drain
-  /// doubles as the Σin accumulation pass: a record (v, c, w) with
-  /// label(v) == c is exactly a Σin contribution, so sin_acc_ is rebuilt
-  /// from scratch here — fused into the receive loop instead of a
-  /// separate pass over the rows.
+  /// also rebuilds own_weight_: a record (v, c, w) with label(v) == c is
+  /// part of v's weight into its own community, so the sum is taken in
+  /// the receive loop instead of a separate pass over the rows.
   void state_propagation_full() {
     out_.clear();
-    sin_acc_.reset(label_.size() + 1);
+    own_weight_ = 0.0;
     const vid_t local_n = static_cast<vid_t>(label_.size());
     for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- a full propagation ships every in-edge; delta iterations ship only the movers'
       for (const RowStore::Entry& e : in_.row(l)) {
@@ -431,7 +426,7 @@ class RankEngine {
       for (const PropMsg& m : msgs) {
         const vid_t lv = part_.to_local(m.v);
         out_.append(lv, m.c, m.w);
-        if (label_[lv] == m.c) sin_acc_.ref(m.c) += m.w;
+        if (label_[lv] == m.c) own_weight_ += m.w;
       }
     });
     for (vid_t l = 0; l < local_n; ++l) out_.merge_row(l);  // plv-lint: allow(refine-full-scan) -- once per full propagation, which refills every row
@@ -476,14 +471,14 @@ class RankEngine {
       }
     }
     prop_agg_.flush_all_final();
-    // Each patch also carries Σin forward: under the receiver's (already
-    // post-move) labels, a patch to entry (v, c) shifts the community's
-    // internal weight exactly when label(v) == c. Combined with the local
-    // adjustments made at move time (update_communities), sin_acc_ lands
-    // on the same value a fresh post-propagation scan would compute —
-    // exactly, in integer-weight arithmetic; within one iteration's
-    // rounding otherwise (FIND re-derives it from every vertex's own entry
-    // next iteration, so the drift never compounds).
+    // Each patch also carries own_weight_ forward: under the receiver's
+    // (already post-move) labels, a patch to entry (v, c) shifts v's
+    // weight into its own community exactly when label(v) == c. Combined
+    // with the adjustments made at move time (update_communities),
+    // own_weight_ lands on the same value a fresh post-propagation scan
+    // would compute — exactly, in integer-weight arithmetic; within one
+    // iteration's rounding otherwise (FIND re-derives it from every
+    // vertex's own entry next iteration, so the drift never compounds).
     comm_.drain_streaming_finalized<PropMsg>([&](int /*src*/,
                                                  std::span<const PropMsg> msgs) {
       for (const PropMsg& m : msgs) {
@@ -495,10 +490,10 @@ class RankEngine {
         if ((m.c & kRetractBit) != 0) {
           const vid_t c = m.c & ~kRetractBit;
           if (out_.retract(lv, c, m.w)) ref_sub(c);
-          if (label_[lv] == c) sin_acc_.ref(c) -= m.w;
+          if (label_[lv] == c) own_weight_ -= m.w;
         } else {
           if (out_.add(lv, m.c, m.w)) ref_add(m.c);
-          if (label_[lv] == m.c) sin_acc_.ref(m.c) += m.w;
+          if (label_[lv] == m.c) own_weight_ += m.w;
         }
       }
     });
@@ -527,13 +522,8 @@ class RankEngine {
   }
 
   /// Re-derives comm_refs_ and sigma_reqs_ from the freshly rebuilt
-  /// Out_Table and current labels, and sizes the Σtot reply cache for
-  /// the rebuilt request set. One ascending pass over the community ids
-  /// fills the request lists already sorted. The request count mostly
-  /// falls between rebuilds as communities merge, so that size is the
-  /// cache's slack: the sweeps up to the next rebuild clear it in place
-  /// instead of reallocating it each time the count crosses a power of
-  /// two.
+  /// Out_Table and current labels. One ascending pass over the community
+  /// ids fills the request lists already sorted.
   void rebuild_sigma_requests() {
     comm_refs_.assign(n_level_, 0);
     const vid_t local_n = static_cast<vid_t>(label_.size());
@@ -542,14 +532,10 @@ class RankEngine {
     }
     for (vid_t c : label_) ++comm_refs_[c];
     for (auto& reqs : sigma_reqs_) reqs.clear();
-    std::size_t requested = 0;
     for (vid_t c = 0; c < n_level_; ++c) {
-      if (comm_refs_[c] == 0) continue;
-      sigma_reqs_[static_cast<std::size_t>(part_.owner(c))].push_back(c);
-      ++requested;
+      if (comm_refs_[c] > 0) sigma_reqs_[static_cast<std::size_t>(part_.owner(c))].push_back(c);
     }
     refs_dirty_.clear();
-    sigma_cache_.reset(requested);
   }
 
   /// Folds the dirty log into the sorted request lists. A community is
@@ -602,8 +588,8 @@ class RankEngine {
   ///
   /// The request/reply rides the streaming plane: the Σtot requests are on
   /// the wire while this rank runs init_stay_scores (each vertex's own
-  /// entry: the σ-independent half of the stay score, and the Σin
-  /// pre-aggregation), and no collective rendezvous happens at all.
+  /// entry: the σ-independent half of the stay score, and own_weight_),
+  /// and no collective rendezvous happens at all.
   ///
   /// Ties between equal-score candidates resolve to the smallest community
   /// id under exact comparison (Lu & Halappanavar's minimum-label rule),
@@ -639,14 +625,14 @@ class RankEngine {
       rep.clear();
       rep.reserve(req_in_[r].size());
       for (vid_t c : req_in_[r]) {
-        const CommInfo* info = comms_.find(c);
-        rep.push_back(info == nullptr ? SigmaRep{0, 0}
-                                      : SigmaRep{info->sigma_tot, info->members});
+        const CommInfo& info = owned_community(c);
+        rep.push_back(SigmaRep{info.sigma_tot, info.members});
       }
     }
-    sigma_cache_.clear();  // sized by rebuild_sigma_requests
     // Replies from owner r answer sigma_reqs_[r] in order; a per-source
-    // cursor keeps the pairing correct across chunk boundaries.
+    // cursor keeps the pairing correct across chunk boundaries. Only the
+    // requested entries of sigma_cache_ are current, and the join search
+    // reads no others.
     reply_cursor_.assign(nranks, 0);
     comm_.exchange_streaming<SigmaRep>(replies_, [&](int src,
                                                      std::span<const SigmaRep> vals) {
@@ -654,7 +640,7 @@ class RankEngine {
       auto& cur = reply_cursor_[static_cast<std::size_t>(src)];
       for (const SigmaRep& v : vals) {
         assert(cur < reqs.size());
-        sigma_cache_.ref(reqs[cur++]) = v;
+        sigma_cache_[reqs[cur++]] = v;
       }
     });
 
@@ -669,26 +655,26 @@ class RankEngine {
       // init_stay_scores left it best_ == label_ and gain 0.
       if (restricted_ && active_[l] == 0) continue;
       const vid_t cu = label_[l];
-      const SigmaRep* own = sigma_cache_.find(cu);
-      assert(own != nullptr);
+      assert(comm_refs_[cu] > 0);
+      const SigmaRep& own = sigma_cache_[cu];
       const double stay =
-          stay_score_[l] - gamma * (own->sigma_tot - strength_[l]) * strength_[l] / two_m_;
+          stay_score_[l] - gamma * (own.sigma_tot - strength_[l]) * strength_[l] / two_m_;
       double best_score = stay;
       vid_t best = cu;
       for (const RowStore::Entry& e : out_.row(l)) {
         // No move straight back: the community this vertex left in the
         // previous iteration is not a candidate (DESIGN.md decision 3).
         if (e.c == cu || e.c == left_[l]) continue;
-        const SigmaRep* target = sigma_cache_.find(e.c);
-        assert(target != nullptr);
+        assert(comm_refs_[e.c] > 0);
+        const SigmaRep& target = sigma_cache_[e.c];
         // Singleton-swap guard (Lu et al. [11], cited by the paper): when a
         // lone vertex considers joining another singleton community, only
         // the smaller-labeled side may move. Without it, synchronous
         // updates let pairs of singletons swap communities within one
         // iteration — the oscillation Section III warns about. The left_
         // skip above covers the rest: it stops any vertex's return trip.
-        if (target->members == 1 && own->members == 1 && e.c > cu) continue;
-        const double score = e.w - gamma * target->sigma_tot * strength_[l] / two_m_;
+        if (target.members == 1 && own.members == 1 && e.c > cu) continue;
+        const double score = e.w - gamma * target.sigma_tot * strength_[l] / two_m_;
         // Most candidates lose: [[unlikely]] keeps the losing path a
         // fall-through (about 5% of a whole LFR n=20000 solve, x86-64 GCC).
         if (score > best_score || (score == best_score && e.c < best)) [[unlikely]] {
@@ -702,23 +688,24 @@ class RankEngine {
   }
 
   /// Each vertex's own entry w_stay = Out[(u, cu)], read while the Σtot
-  /// requests are on the wire: it re-derives the Σin pre-aggregation for
-  /// every vertex, active or not, and gives the σ-independent half of the
+  /// requests are on the wire: summed over every vertex, active or not,
+  /// it re-derives own_weight_, and it gives the σ-independent half of the
   /// stay score (w_stay − self loop). Also resets best_/gain_, so a vertex
   /// the join search skips stays put.
   /// Kept out of line on purpose: inlined into its one caller, the
   /// exchange_streaming instantiation, the loop made a whole LFR n=20000
   /// solve about 4% slower (x86-64, GCC, Release).
   [[gnu::noinline]] void init_stay_scores() {
-    sin_acc_.reset(label_.size() + 1);
+    own_weight_ = 0.0;
     const vid_t local_n = static_cast<vid_t>(label_.size());
-    for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- Σin needs every vertex's own entry; best_/gain_ reset must cover every vertex
+    for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- own_weight_ needs every vertex's own entry; best_/gain_ reset must cover every vertex
       const vid_t cu = label_[l];
       best_[l] = cu;
       gain_[l] = 0.0;
       const RowStore::Entry* own = out_.find(l, cu);
-      if (own != nullptr) sin_acc_.ref(cu) += own->w;
-      stay_score_[l] = (own == nullptr ? 0.0 : own->w) - self_loop_[l];
+      const weight_t w_stay = own == nullptr ? 0.0 : own->w;
+      own_weight_ += w_stay;
+      stay_score_[l] = w_stay - self_loop_[l];
     }
   }
 
@@ -774,11 +761,11 @@ class RankEngine {
   /// ordered drain sums them — no separate allreduce round. Both counts
   /// are integers, exact in a double far beyond any reachable size.
   ///
-  /// Each move also carries the local Σin pre-aggregation forward: entry
-  /// (u, from) stops counting toward Σin(from) and entry (u, to) starts
-  /// counting toward Σin(to) — both against the *pre-propagation* rows
-  /// FIND just read; the propagation drain patches in the edge
-  /// re-pointing afterwards (see state_propagation_delta).
+  /// Each move also carries own_weight_ forward: u's weight into its own
+  /// community stops being entry (u, from) and becomes entry (u, to) —
+  /// both against the *pre-propagation* rows FIND just read; the
+  /// propagation drain patches in the edge re-pointing afterwards (see
+  /// state_propagation_delta).
   [[nodiscard]] MoveTally update_communities(double cutoff) {
     delta_out_.resize(static_cast<std::size_t>(comm_.nranks()));
     for (auto& dest : delta_out_) dest.clear();
@@ -803,8 +790,8 @@ class RankEngine {
         ref_add(to);
         const RowStore::Entry* from_entry = out_.find(l, from);
         const RowStore::Entry* to_entry = out_.find(l, to);
-        sin_acc_.ref(from) -= from_entry == nullptr ? 0.0 : from_entry->w;
-        sin_acc_.ref(to) += to_entry == nullptr ? 0.0 : to_entry->w;
+        own_weight_ -= from_entry == nullptr ? 0.0 : from_entry->w;
+        own_weight_ += to_entry == nullptr ? 0.0 : to_entry->w;
         deltas[static_cast<std::size_t>(part_.owner(from))].push_back(
             DeltaMsg{from, -1, -strength_[l]});
         deltas[static_cast<std::size_t>(part_.owner(to))].push_back(
@@ -826,7 +813,7 @@ class RankEngine {
               global.delta_records += static_cast<std::uint64_t>(d.dtot);
               continue;
             }
-            CommInfo& info = comms_.ref(d.c);
+            CommInfo& info = owned_community(d.c);
             info.sigma_tot += d.dtot;
             info.members += d.dcount;
           }
@@ -834,33 +821,24 @@ class RankEngine {
     return global;
   }
 
-  // -- Σin + modularity (Algorithm 4 lines 18-25) ----------------------------
+  // -- modularity (Algorithm 4 lines 18-25) ----------------------------------
 
-  /// Ships the local Σin pre-aggregation (sin_acc_, re-derived by FIND's
-  /// init_stay_scores and carried forward by the move-time adjustments
-  /// and propagation-drain patches) to the community owners. Local
-  /// pre-aggregation keeps message volume at one record per (rank,
-  /// community) pair.
-  void exchange_sigma_in() {
-    comms_.for_each([](vid_t, CommInfo& info) { info.sigma_in = 0.0; });
-    sin_out_.resize(static_cast<std::size_t>(comm_.nranks()));
-    for (auto& dest : sin_out_) dest.clear();
-    sin_acc_.for_each([&](vid_t c, weight_t& w) {
-      sin_out_[static_cast<std::size_t>(part_.owner(c))].push_back(SinMsg{c, 0, w});
-    });
-    comm_.exchange_streaming<SinMsg>(
-        sin_out_, [&](int /*src*/, std::span<const SinMsg> msgs) {
-          for (const SinMsg& m : msgs) comms_.ref(m.c).sigma_in += m.w;
-        });
-  }
-
-  /// One rank's sums over its owned communities: the modularity
-  /// contribution, and the Σtot and member totals of the conservation
-  /// check.
+  /// One rank's sums for Q and for the conservation check. Q needs Σin
+  /// only summed over all communities, and that sum is every vertex's
+  /// weight into its own community, so no per-community Σin is kept:
+  /// own_weight is this rank's share (own_weight_), sigma_tot_sq the Σtot²
+  /// of its non-empty owned communities. sigma_tot and members are the
+  /// totals the conservation check compares with 2m and n_level.
   struct CommunitySums {
-    double q{0.0};
+    double own_weight{0.0};
+    double sigma_tot_sq{0.0};
     double sigma_tot{0.0};
     std::int64_t members{0};
+
+    friend CommunitySums operator+(const CommunitySums& a, const CommunitySums& b) {
+      return {a.own_weight + b.own_weight, a.sigma_tot_sq + b.sigma_tot_sq,
+              a.sigma_tot + b.sigma_tot, a.members + b.members};
+    }
   };
 
   /// This rank's CommunitySums, in one pass over the owned communities;
@@ -868,14 +846,22 @@ class RankEngine {
   /// per-iteration scalars into one combined allreduce (see refine).
   [[nodiscard]] CommunitySums local_modularity() const {
     CommunitySums sums;
-    comms_.for_each([&](vid_t, const CommInfo& info) {
+    sums.own_weight = own_weight_;
+    for (const CommInfo& info : comms_) {
       sums.sigma_tot += info.sigma_tot;
       sums.members += info.members;
-      if (info.members <= 0) return;
-      const double tot = info.sigma_tot / two_m_;
-      sums.q += info.sigma_in / two_m_ - opts_.refine.resolution * tot * tot;
-    });
+      if (info.members > 0) sums.sigma_tot_sq += info.sigma_tot * info.sigma_tot;
+    }
     return sums;
+  }
+
+  /// Q = S/2m − γ·T/(2m)² from the global sums S (own_weight) and T
+  /// (sigma_tot_sq). On integer weights both are exact integer sums while
+  /// (2m)² stays below 2^53, so Q is a function of the labels alone,
+  /// whatever the rank count.
+  [[nodiscard]] double modularity(const CommunitySums& global) const {
+    return global.own_weight / two_m_ -
+           opts_.refine.resolution * global.sigma_tot_sq / (two_m_ * two_m_);
   }
 
   /// Conservation check, every iteration in every build: the Σtot of all
@@ -984,11 +970,9 @@ class RankEngine {
       const double prop_s = t.seconds();
       timers_.add(phase::kStatePropagation, prop_s);
 
-      exchange_sigma_in();
-      // One combined reduction closes the iteration: modularity, the
-      // conservation sums and the trace's propagation + scan volumes
-      // share a single collective round. The q sum visits ranks in
-      // ascending order, exactly like allreduce_sum.
+      // One combined reduction closes the iteration: the modularity and
+      // conservation sums and the trace's propagation + scan volumes share
+      // a single collective round.
       struct IterStats {
         CommunitySums sums;
         std::uint64_t prop_sent;
@@ -997,13 +981,10 @@ class RankEngine {
       const auto stats = comm_.allreduce(
           IterStats{local_modularity(), prop_sent, scanned_local},
           [](const IterStats& a, const IterStats& b) {
-            return IterStats{{a.sums.q + b.sums.q, a.sums.sigma_tot + b.sums.sigma_tot,
-                              a.sums.members + b.sums.members},
-                             a.prop_sent + b.prop_sent,
-                             a.scanned + b.scanned};
+            return IterStats{a.sums + b.sums, a.prop_sent + b.prop_sent, a.scanned + b.scanned};
           });
       check_conservation(iter, stats.sums);
-      const double q = stats.sums.q;
+      const double q = modularity(stats.sums);
       level.trace.iterations = iter;
       level.trace.moved_fraction.push_back(static_cast<double>(moved.moves) /
                                            static_cast<double>(n_level_));
@@ -1039,11 +1020,10 @@ class RankEngine {
 
   /// Sorted global list of communities that still have members.
   [[nodiscard]] std::vector<vid_t> gather_surviving_communities() {
-    std::vector<vid_t> mine;
-    comms_.for_each([&](vid_t c, const CommInfo& info) {
-      if (info.members > 0) mine.push_back(c);
-    });
-    std::sort(mine.begin(), mine.end());
+    std::vector<vid_t> mine;  // ascending: global ids grow with the local index
+    for (vid_t l = 0; l < static_cast<vid_t>(comms_.size()); ++l) {
+      if (comms_[l].members > 0) mine.push_back(part_.to_global(comm_.rank(), l));
+    }
     std::vector<vid_t> all = comm_.allgatherv(mine);
     std::sort(all.begin(), all.end());
     return all;
@@ -1051,13 +1031,12 @@ class RankEngine {
 
   /// Full label vector of this level (dense community ids), identical on
   /// every rank.
-  [[nodiscard]] std::vector<vid_t> gather_level_labels(const FlatMap<vid_t>& dense) {
+  [[nodiscard]] std::vector<vid_t> gather_level_labels(const std::vector<vid_t>& dense) {
     std::vector<LabelPair> mine;
     mine.reserve(label_.size());
     for (vid_t l = 0; l < static_cast<vid_t>(label_.size()); ++l) {
-      const vid_t* c = dense.find(label_[l]);
-      assert(c != nullptr);
-      mine.push_back(LabelPair{part_.to_global(comm_.rank(), l), *c});
+      assert(dense[label_[l]] != kInvalidVid);
+      mine.push_back(LabelPair{part_.to_global(comm_.rank(), l), dense[label_[l]]});
     }
     const std::vector<LabelPair> all = comm_.allgatherv(mine);
     std::vector<vid_t> labels(n_level_, 0);
@@ -1068,18 +1047,18 @@ class RankEngine {
   /// Rewrites the Out_Table into the next level's In_Table (all-to-all) and
   /// re-derives the level state: equal (source, target) community pairs
   /// merge into one entry of the target's row.
-  void graph_reconstruction(const FlatMap<vid_t>& dense, vid_t next_n) {
+  void graph_reconstruction(const std::vector<vid_t>& dense, vid_t next_n) {
     graph::Partition1D next_part(next_n, comm_.nranks());
 
     pml::Aggregator<EdgeMsg> agg(comm_);
     const vid_t local_n = static_cast<vid_t>(label_.size());
     for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- reconstruction, runs once per level
-      const vid_t* src = dense.find(label_[l]);
-      assert(src != nullptr);
+      const vid_t src = dense[label_[l]];
+      assert(src != kInvalidVid);
       for (const RowStore::Entry& e : out_.row(l)) {
-        const vid_t* dst = dense.find(e.c);
-        assert(dst != nullptr);
-        agg.push(next_part.owner(*dst), EdgeMsg{*src, *dst, e.w});
+        const vid_t dst = dense[e.c];
+        assert(dst != kInvalidVid);
+        agg.push(next_part.owner(dst), EdgeMsg{src, dst, e.w});
       }
     }
     agg.flush_all_final();
@@ -1146,9 +1125,10 @@ class RankEngine {
   // being re-set-up per phase.
   pml::Aggregator<PropMsg> prop_agg_;
 
-  FlatMap<CommInfo> comms_;        // owned communities
-  FlatMap<SigmaRep> sigma_cache_;  // fetched Σtot + members
-  FlatMap<weight_t> sin_acc_;      // Σin pre-aggregation, carried forward
+  std::vector<CommInfo> comms_;        // owned communities, by local index
+  std::vector<SigmaRep> sigma_cache_;  // fetched Σtot + members, by community id
+  // Σ over owned u of Out[(u, label(u))]: this rank's share of Σ_c Σin_c.
+  weight_t own_weight_{0};
 
   // Σtot request bookkeeping (see the comment block above ref_add).
   std::vector<std::uint32_t> comm_refs_;
@@ -1164,7 +1144,6 @@ class RankEngine {
   std::vector<std::vector<vid_t>> req_in_;
   std::vector<std::vector<SigmaRep>> replies_;
   std::vector<std::size_t> reply_cursor_;
-  std::vector<std::vector<SinMsg>> sin_out_;
   std::vector<std::vector<DeltaMsg>> delta_out_;
 
   PhaseTimers timers_;

@@ -23,8 +23,10 @@
 //
 // One outer level = STATE PROPAGATION → REFINE (inner loop: FIND BEST
 // COMMUNITY, threshold ΔQ̂ selection, UPDATE COMMUNITY INFORMATION,
-// re-propagation, Σin/modularity) → GRAPH RECONSTRUCTION (all-to-all
-// rewrite of the Out_Table into the next level's In_Table).
+// re-propagation, one allreduce of the modularity sums) → GRAPH
+// RECONSTRUCTION (all-to-all rewrite of the Out_Table into the next
+// level's In_Table). Σtot lives at each community's owner; Σin is never
+// kept per community, since Q needs only its sum over communities.
 #pragma once
 
 #include "common/louvain.hpp"

@@ -148,9 +148,9 @@ void check_quiescence_conservation(bool enforce, int rank, std::uint64_t epoch,
                                    const char* transport);
 
 /// Open-addressed pointer->tag map for the chunk-ownership ledger
-/// (std::unordered_map is banned from src/pml by the repo lint pass, and
-/// FlatMap is keyed by 32-bit vertex ids). Linear probing, power-of-two
-/// capacity, backward-shift erase; the null pointer is the empty slot.
+/// (std::unordered_map is banned from src/pml by the repo lint pass).
+/// Linear probing, power-of-two capacity, backward-shift erase; the null
+/// pointer is the empty slot.
 ///
 /// Concurrency contract: a ChunkLedger (like every per-peer Lane below)
 /// is rank-local — it belongs to one ValidatingTransport, which belongs

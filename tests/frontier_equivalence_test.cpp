@@ -1,16 +1,19 @@
 // Frontier-pruned refine: golden pins and edge cases.
 //
 // Active scheduling restricts FIND's join search to the disturbed
-// vertices while Σin is still re-derived from every vertex's own
-// Out_Table entry each iteration. The goldens below were recorded when
-// FIND still had two strategies (a row walk over the active vertices and
-// a fused full-table scan), from the fused scan's runs, which the row
-// walk matched bit for bit. The single FIND loop must reproduce them on
-// every transport, across cold, warm and streamed ingestion: the final
-// Q's bits, and FNV-1a hashes of the final labels and of each level's
-// labels, trace.modularity, trace.scanned_vertices and
-// trace.prop_records. A mismatch prints the observed golden in source
-// form.
+// vertices while the own-community weight behind Q is still re-derived
+// from every vertex's own Out_Table entry each iteration. The goldens
+// below were recorded when FIND still had two strategies (a row walk over
+// the active vertices and a fused full-table scan), from the fused scan's
+// runs, which the row walk matched bit for bit. The single FIND loop must
+// reproduce them on every transport, across cold, warm and streamed
+// ingestion: the final Q's bits, and FNV-1a hashes of the final labels
+// and of each level's labels, trace.modularity, trace.scanned_vertices
+// and trace.prop_records. A mismatch prints the observed golden in source
+// form. kCold's (and so kStreamed's) trace.modularity hashes were
+// re-recorded when Q came to be summed as S/2m − γ·T/(2m)² from two global
+// sums instead of one term per community; its last bits moved, no label,
+// scan or propagation count did.
 //
 // With the heuristics off (the default), the engine must scan the full
 // partition every iteration — pinned here through the scanned-vertices
@@ -130,8 +133,8 @@ void expect_golden(const Result& r, const Golden& expected, const char* what) {
 // Level entries: {labels, trace.modularity, trace.scanned_vertices,
 // trace.prop_records}.
 const Golden kCold{0x1.126d38ec12cdep-1, 0x45903904d2be6f61ULL, {
-  {0xe8b93f14ac83e9e0ULL, 0xd638fc282eb5a2d2ULL, 0x9f00f06dfd3b7fcbULL, 0x2213f0b0e07f380cULL},
-  {0xc8833b09292870ceULL, 0xa11a94bb38f8381cULL, 0xbc940917e210d625ULL, 0x070d8b41bbc3dda2ULL}}};
+  {0xe8b93f14ac83e9e0ULL, 0x30d3e582f646b359ULL, 0x9f00f06dfd3b7fcbULL, 0x2213f0b0e07f380cULL},
+  {0xc8833b09292870ceULL, 0x7118896c57018f1cULL, 0xbc940917e210d625ULL, 0x070d8b41bbc3dda2ULL}}};
 const Golden kWarm{0x1.126d38ec12cdep-1, 0x0d920ca36c448549ULL, {
   {0x0d920ca36c448549ULL, 0x126faf72be91a464ULL, 0x895c2f5341266a59ULL, 0xd5238384793e82bdULL}}};
 // Round-robin slices of the same list: streamed ingestion lands on the

@@ -15,10 +15,12 @@
 //
 // Caveat on floating point: the tests use unit-weight graphs, where every
 // Σtot/w_uc accumulation is an exact integer sum, so reorderings (which
-// rank counts and record orders do cause) cannot perturb gains. For graphs
-// with irrational weight mixes, per-vertex gains are still exact functions
-// of the table *contents*, but the global Q reduction's partial-sum
-// grouping varies with the rank count, so stopping decisions within
+// rank counts and record orders do cause) cannot perturb gains, and Q —
+// summed from two global integer sums — is an exact function of the
+// labels: its bits match at every rank count, level by level. With
+// non-integer weights, per-vertex gains are still exact functions of the
+// table *contents*, but the grouping of those two sums varies with the
+// rank count, so Q's last bits can differ and stopping decisions within
 // ~1e-12 of the tolerance could in principle flip.
 #include <gtest/gtest.h>
 
@@ -50,7 +52,12 @@ TEST(Invariance, RankCountDoesNotChangeResult) {
     opts.nranks = nranks;
     const auto r = run(edges, opts);
     EXPECT_EQ(r.final_labels, reference.final_labels) << "nranks " << nranks;
-    EXPECT_DOUBLE_EQ(r.final_modularity, reference.final_modularity);
+    EXPECT_EQ(r.final_modularity, reference.final_modularity) << "nranks " << nranks;
+    ASSERT_EQ(r.levels.size(), reference.levels.size()) << "nranks " << nranks;
+    for (std::size_t i = 0; i < r.levels.size(); ++i) {
+      EXPECT_EQ(r.levels[i].modularity, reference.levels[i].modularity)
+          << "nranks " << nranks << " level " << i;
+    }
   }
 }
 

@@ -1,13 +1,20 @@
 // Refine-pipeline goldens. The overlapped refine pipeline (streaming
-// exchanges, fused Σin scan, piggybacked move tally, merged reductions)
-// used to be checked against a phased twin — blocking collectives,
-// separate reductions — that executed the same arithmetic in the same
-// order. The goldens below were recorded while both pipelines still
-// existed, and both produced them bit for bit; the phased path is gone,
-// so its answer survives here as data. Any change to the labels, the
+// exchanges, fused stay-score scan, piggybacked move tally, merged
+// reductions) used to be checked against a phased twin — blocking
+// collectives, separate reductions — that executed the same arithmetic in
+// the same order. The goldens below were recorded while both pipelines
+// still existed, and both produced them bit for bit; the phased path is
+// gone, so its answer survives here as data. Any change to the labels, the
 // modularity, the per-iteration trace or the communication volume of
 // these runs is a change to the engine's arithmetic or its wire
 // protocol, on whichever transport carries it.
+//
+// Re-recorded since: each level's trace.modularity hash in kCold, and
+// records_sent in both cases (437973 → 406582 cold, 40591 → 40429 warm).
+// Q is now S/2m − γ·T/(2m)² from two global sums, so its last bits moved,
+// and the per-iteration Σin exchange is gone with its records. Labels,
+// iterations, gain cutoffs, propagation records and collectives did not
+// move.
 //
 // Input: LFR n=2000 mu=0.3 seed 23 on 4 ranks. Cases: a cold start and a
 // warm start seeded from the cold run's labels, each on every transport.
@@ -114,12 +121,12 @@ void expect_golden(const Result& r, const Golden& expected, const char* what) {
 // trace.prop_records}. Where the Out_Table rebuilds fall changes only the
 // propagation volume (trace.prop_records and records_sent).
 const Golden kCold{0x1.111d6ffb5f1fcp-1, 0x835473f2500c8cefULL, {
-  {0x71af80c3f0d2d667ULL, 59, 0x2c00fd70a64dee85ULL, 0x5a3ce1e89355b802ULL, 0xb6682d761e10b678ULL},
-  {0x14817b52eddd1d8cULL, 16, 0x5613b1fb75e58780ULL, 0x03bd9a3956dbd121ULL, 0x0513e29b050be57cULL}},
-  437973, 992};
+  {0x71af80c3f0d2d667ULL, 59, 0x10636894d49180e4ULL, 0x5a3ce1e89355b802ULL, 0xb6682d761e10b678ULL},
+  {0x14817b52eddd1d8cULL, 16, 0x4d32bb0987e23edbULL, 0x03bd9a3956dbd121ULL, 0x0513e29b050be57cULL}},
+  406582, 992};
 const Golden kWarm{0x1.126d38ec12cdep-1, 0x0d920ca36c448549ULL, {
   {0x0d920ca36c448549ULL, 3, 0x126faf72be91a464ULL, 0x820830d7006998f8ULL, 0xd5238384793e82bdULL}},
-  40591, 116};
+  40429, 116};
 
 TEST_P(OverlapEquivalence, ColdStartIsBitIdentical) {
   const auto r = louvain(GraphSource::from_edges(lfr_input()), opts_for(GetParam()));

@@ -23,11 +23,11 @@ The rules:
       std::map / std::unordered_map (and their multi* variants, and the
       <map> / <unordered_map> includes) are banned from the hot paths —
       src/core, src/pml, src/hashing. Their per-find pointer chase and
-      allocation churn is exactly what the paper's flat open-addressed
-      tables exist to avoid; common/flat_map.hpp is the sanctioned
-      container (and lives outside the banned directories). AST mode
-      resolves the template to namespace std, so a repo-local type merely
-      *named* `map` never trips.
+      allocation churn is exactly what the engine's flat layouts exist to
+      avoid: keep per-community or per-vertex state in dense arrays
+      indexed by the level's ids, and per-vertex rows in core::RowStore
+      (core/row_store.hpp). AST mode resolves the template to namespace
+      std, so a repo-local type merely *named* `map` never trips.
 
   raw-chunk-release
       Chunk nodes live and die on the pool API (Transport::acquire_chunk /
@@ -153,8 +153,8 @@ ATOMIC_PARENTS = {
 
 MESSAGES = {
     "map-ban": (
-        "std::map/std::unordered_map in a hot path; use "
-        "common/flat_map.hpp (plv::FlatMap) instead"
+        "std::map/std::unordered_map in a hot path; use a dense array "
+        "indexed by the level's ids, or core::RowStore for per-vertex rows"
     ),
     "raw-chunk-release": (
         "chunk node released outside the pool API; use "
