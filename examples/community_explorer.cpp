@@ -8,9 +8,9 @@
 // Mirrors the paper's evaluation workflow: hierarchy depth, modularity
 // per level, evolution ratio, community size distribution, and (for LFR)
 // NMI against the planted communities.
-#include <iostream>
-
+#include <exception>
 #include <fstream>
+#include <iostream>
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
@@ -25,7 +25,7 @@
 #include "metrics/similarity.hpp"
 #include "seq/louvain_seq.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   plv::Cli cli(argc, argv);
   const int ranks = cli.get_int<int>("ranks", 4);
 
@@ -116,4 +116,9 @@ int main(int argc, char** argv) {
     std::cout << "wrote Blondel-format hierarchy tree to " << path << '\n';
   }
   return 0;
+} catch (const std::exception& e) {
+  // A malformed option (plv::Cli throws std::invalid_argument naming it)
+  // ends with a message and exit 1, not an abort.
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

@@ -10,7 +10,9 @@
 //
 //   ./community_service --batches 5 --batch-edges 200 --readers 2
 #include <atomic>
+#include <exception>
 #include <iostream>
+#include <stop_token>
 #include <thread>
 #include <vector>
 
@@ -25,7 +27,7 @@
 #include "metrics/partition_utils.hpp"
 #include "metrics/similarity.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   plv::Cli cli(argc, argv);
   const int batches = cli.get_int<int>("batches", 5);
   const int batch_edges = cli.get_int<int>("batch-edges", 200);
@@ -53,15 +55,16 @@ int main(int argc, char** argv) {
   // Concurrent readers: snapshot reads never block an in-flight apply.
   // Each reader spins on the latest snapshot, checking that what it sees
   // is internally consistent (epoch monotone, labels sized to the
-  // snapshot's own vertex count).
-  std::atomic<bool> stop{false};
+  // snapshot's own vertex count). A std::jthread's destructor asks its
+  // reader to stop and joins it, so the readers stop before the session
+  // goes, on the error path too.
   std::atomic<std::uint64_t> reads{0};
-  std::vector<std::thread> pool;
+  std::vector<std::jthread> pool;
   pool.reserve(static_cast<std::size_t>(readers));
   for (int r = 0; r < readers; ++r) {
-    pool.emplace_back([&] {
+    pool.emplace_back([&](const std::stop_token& stop) {
       std::uint64_t last_epoch = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
+      while (!stop.stop_requested()) {
         const auto snap = session.snapshot();
         if (snap->epoch < last_epoch || snap->labels.size() != snap->n_vertices) {
           std::cerr << "reader saw an inconsistent snapshot\n";
@@ -112,8 +115,7 @@ int main(int argc, char** argv) {
         .add(snap->incremental ? "yes" : "no")
         .add(plv::metrics::nmi(snap->labels, initial->labels));
   }
-  stop.store(true);
-  for (auto& th : pool) th.join();
+  pool.clear();  // stop and join the readers
   table.print();
 
   std::cout << "\nreaders completed " << reads.load() << " lock-free snapshot reads\n"
@@ -124,4 +126,9 @@ int main(int argc, char** argv) {
                "throughout — queries never wait on detection.\n";
   session.close();
   return 0;
+} catch (const std::exception& e) {
+  // A malformed option (plv::Cli throws std::invalid_argument naming it)
+  // ends with a message and exit 1, not an abort.
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

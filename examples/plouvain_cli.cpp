@@ -45,9 +45,8 @@ int usage() {
       "  stats  --graph FILE\n"
       "  detect --graph FILE [--engine par|seq|lp] [--ranks N]\n"
       "         [--transport thread|proc|tcp|hybrid] [--resolution G]\n"
-      "         [--heuristics] [--hosts host:port,...] [--rank R]\n"
-      "         [--ranks-per-proc N] [--validate] [--out FILE]\n"
-      "         [--tree FILE] [--warm FILE]\n"
+      "         [--hosts host:port,...] [--rank R] [--ranks-per-proc N]\n"
+      "         [--validate] [--out FILE] [--tree FILE] [--warm FILE]\n"
       "Multi-host tcp: run the same command on every host with the same\n"
       "--hosts list (one host:port per rank, entry index = rank) and that\n"
       "host's --rank R; each invocation is one rank of the fleet. With\n"
@@ -75,11 +74,6 @@ plv::graph::EdgeList load(const plv::Cli& cli) {
 plv::core::ParOptions par_opts(const plv::Cli& cli) {
   plv::core::ParOptions opts;
   opts.nranks = cli.get_int<int>("ranks", 4);
-  // --heuristics switches the whole convergence-heuristic bundle on
-  // (active-vertex scheduling, vertex-following, threshold scaling —
-  // RefinePlan::heuristics()); the default keeps every heuristic off,
-  // i.e. the paper-faithful Eq. 7 refine loop.
-  if (cli.get_bool("heuristics", false)) opts.refine = plv::core::RefinePlan::heuristics();
   opts.refine.resolution = cli.get_double("resolution", 1.0);
   opts.transport = plv::pml::parse_transport_kind(cli.get_string("transport", "thread"));
   // --validate turns the pml protocol checker on even in optimized

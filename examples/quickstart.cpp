@@ -5,6 +5,7 @@
 //
 // The graph is the classic "two weighted triangles with a weak bridge":
 // both engines must put each triangle in its own community.
+#include <exception>
 #include <iostream>
 
 #include "common/cli.hpp"
@@ -14,7 +15,7 @@
 #include "metrics/partition_utils.hpp"
 #include "seq/louvain_seq.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   plv::Cli cli(argc, argv);
   const int ranks = cli.get_int<int>("ranks", 4);
 
@@ -56,4 +57,9 @@ int main(int argc, char** argv) {
   std::cout << (ok ? "OK: triangles separated as expected\n"
                    : "UNEXPECTED: triangles not separated\n");
   return ok ? 0 : 1;
+} catch (const std::exception& e) {
+  // A malformed option (plv::Cli throws std::invalid_argument naming it)
+  // ends with a message and exit 1, not an abort.
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

@@ -6,6 +6,7 @@
 //
 // TEPS follows the paper's definition (Section V-E): input edges divided
 // by the time to finish the *first* level, which does most of the work.
+#include <exception>
 #include <iostream>
 
 #include "common/cli.hpp"
@@ -15,7 +16,7 @@
 #include "metrics/clustering.hpp"
 #include "graph/csr.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   plv::Cli cli(argc, argv);
   plv::gen::BterParams p;
   p.n = cli.get_int<plv::vid_t>("n", 20000);
@@ -53,4 +54,9 @@ int main(int argc, char** argv) {
   std::cout << "\nNote: this container is single-core; rank sweeps show the\n"
                "algorithm's communication behavior, not wall-clock speedup.\n";
   return 0;
+} catch (const std::exception& e) {
+  // A malformed option (plv::Cli throws std::invalid_argument naming it)
+  // ends with a message and exit 1, not an abort.
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

@@ -73,9 +73,8 @@ struct LevelTrace {
   // delta-vs-full traffic evidence (full rebuild ships Σ|In_Table|).
   std::vector<std::uint64_t> prop_records;
   // Vertices whose join search FIND actually ran per iteration, summed
-  // over ranks — the whole level when unrestricted, the live frontier
-  // under active-vertex scheduling or a pinned Session frontier. The
-  // scanned-vertices/iteration evidence behind the pruning heuristics.
+  // over ranks: the whole level, except at level 0 of an incremental
+  // Session apply, where it is the live frontier.
   std::vector<std::uint64_t> scanned_vertices;
 };
 

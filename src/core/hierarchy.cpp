@@ -55,11 +55,6 @@ std::vector<TreeNode> Hierarchy::tree() const {
     std::vector<std::uint64_t> sizes(k, 0);
     for (vid_t v = 0; v < n_; ++v) ++sizes[levels_[level][v]];
     for (vid_t c = 0; c < static_cast<vid_t>(k); ++c) {
-      // An id can hold zero original vertices: vertex-following leaves the
-      // folded singletons' ghost communities in the dense id space but
-      // reattaches their members to the anchors. Empty ids are bookkeeping,
-      // not communities — the tree skips them.
-      if (sizes[c] == 0) continue;
       nodes.push_back(TreeNode{level, c, parent_of(level, c), sizes[c]});
     }
   }

@@ -99,14 +99,6 @@ inline constexpr int kStagnationWindow = 2;
 /// Every rank allreduces this many counts per iteration.
 inline constexpr std::size_t kGainHistogramBins = 512;
 
-/// Levels smaller than this refine unrestricted even under active
-/// scheduling. Restricting moves to the frontier admits fewer movers per
-/// round, stretching convergence across more iterations — worth it while
-/// the FIND scan dominates, a net loss once the level graph is small
-/// enough that per-iteration collective rounds dominate and scanning
-/// everything is effectively free.
-inline constexpr vid_t kMinPrunedLevel = 1024;
-
 /// Relative tolerance of the per-iteration Σtot conservation check: the
 /// Σtot of all communities sums to 2m up to floating-point drift of the
 /// move-time adjustments.
@@ -178,8 +170,7 @@ class RankEngine {
   /// lifts the restriction, and the run stops after level 0 when the
   /// frontier never produced a move (see frontier_stalled).
   void enable_frontier(const std::vector<vid_t>& seeds) {
-    pinned_ = true;
-    restricted_ = true;
+    frontier_ = true;
     active_.assign(label_.size(), 0);
     const int me = comm_.rank();
     for (vid_t v : seeds) {
@@ -187,13 +178,13 @@ class RankEngine {
     }
   }
 
-  /// True when a pinned frontier's level-0 pass moved nothing: the
-  /// partition is exactly as warm-seeded, and the coarser levels were
-  /// already converged by the epoch that produced that seed, so the run
-  /// ends after level 0 and skips its reconstruction. (pinned_ survives
-  /// only until a reconstruction re-inits the level state.)
+  /// True when a frontier's level-0 pass moved nothing: the partition is
+  /// exactly as warm-seeded, and the coarser levels were already
+  /// converged by the epoch that produced that seed, so the run ends after
+  /// level 0 and skips its reconstruction. (frontier_ survives only until
+  /// a reconstruction re-inits the level state.)
   [[nodiscard]] bool frontier_stalled() const noexcept {
-    return pinned_ && level_moves_ == 0;
+    return frontier_ && level_moves_ == 0;
   }
 
   /// Re-seeds the community state from a prior partition (warm start).
@@ -378,19 +369,10 @@ class RankEngine {
     // the (allreduced) delta records since the last full propagation
     // against this.
     full_prop_records_ = comm_.allreduce_sum(static_cast<std::uint64_t>(in_.size()));
-    // A pinned (Session) frontier applies to the level it was seeded on;
-    // coarser levels (and fresh inits) refine unrestricted. Active-vertex
-    // scheduling, by contrast, re-arms on every level of at least
-    // kMinPrunedLevel vertices: all vertices start schedulable, and the
-    // first delta propagation shrinks the set to the disturbed region.
-    pinned_ = false;
-    restricted_ = false;
-    prune_ = opts_.refine.active_scheduling && n_level_ >= kMinPrunedLevel;
-    if (prune_) {
-      active_.assign(local_n, 1);
-    } else {
-      active_.clear();
-    }
+    // A Session frontier applies to the level it was seeded on; coarser
+    // levels (and fresh inits) refine unrestricted.
+    frontier_ = false;
+    active_.clear();
   }
 
   [[nodiscard]] weight_t local_strength_sum() const noexcept {
@@ -433,15 +415,6 @@ class RankEngine {
     assert(out_.consistent());
     rebuild_sigma_requests();
     delta_since_full_ = 0;
-    // A rebuild re-ships every row, so the pruned frontier's "nothing
-    // changed near me" premise is void: reactivate the whole partition.
-    // (Pinned Session frontiers are exempt — their restriction is the
-    // caller's dirty-region contract, and the level's initial full
-    // propagation must not clobber the seeds.)
-    if (prune_ && !pinned_) {
-      std::fill(active_.begin(), active_.end(), std::uint8_t{1});
-      restricted_ = false;
-    }
   }
 
   /// Incremental maintenance: ships one (retraction, assertion) pair per
@@ -450,18 +423,6 @@ class RankEngine {
   /// short as a rebuild would). Requires every rank to have taken the
   /// same full-vs-delta decision — see refine().
   void state_propagation_delta() {
-    if (prune_) {
-      // Next iteration's frontier: the vertices that moved this sweep plus
-      // — via the patch drain below — everyone whose neighborhood those
-      // moves changed. The wakeup deliberately rides the existing PropMsg
-      // patch stream instead of a dedicated message kind: a patch to entry
-      // (v, c) *is* the statement "a neighbor of v changed community", so
-      // a separate wakeup channel would duplicate the same (v, source)
-      // pairs byte for byte (DESIGN.md decision 15).
-      restricted_ = true;
-      std::fill(active_.begin(), active_.end(), std::uint8_t{0});
-      for (const Move& mv : moves_) active_[mv.l] = 1;
-    }
     for (const Move& mv : moves_) {
       assert(mv.from < kRetractBit && mv.to < kRetractBit);
       for (const RowStore::Entry& e : in_.row(mv.l)) {
@@ -486,7 +447,10 @@ class RankEngine {
         // A patched vertex just learned its surroundings changed — that is
         // the disturbed-vertex frontier growing (Lu & Halappanavar's
         // disturbance propagation): it may move from the next sweep on.
-        if (restricted_) active_[lv] = 1;
+        // The wakeup rides the patch stream instead of a message kind of
+        // its own: a patch to entry (v, c) *is* the statement "a neighbor
+        // of v changed community" (DESIGN.md decision 15).
+        if (frontier_) active_[lv] = 1;
         if ((m.c & kRetractBit) != 0) {
           const vid_t c = m.c & ~kRetractBit;
           if (out_.retract(lv, c, m.w)) ref_sub(c);
@@ -601,7 +565,7 @@ class RankEngine {
 
     // How many vertices this sweep actually considers for a move (the
     // scanned-vertices telemetry).
-    if (restricted_) {
+    if (frontier_) {
       std::uint64_t count = 0;
       for (std::uint8_t a : active_) count += a;
       scanned_ = count;
@@ -649,11 +613,11 @@ class RankEngine {
     // (w_stay) − γ(σ − k)k/2m is the baseline, and the final gain is the
     // join-vs-stay difference rescaled to true ΔQ units.
     const double gamma = opts_.refine.resolution;
-    for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- sequential bitmap sweep; the σ lookups and the row walk run for active vertices only
-      // Frontier pruning (Sahu's unchanged-vertex idea): an undisturbed
-      // vertex may not move this iteration, so its join search is skipped;
+    for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- under a Session frontier the σ lookups and the row walk run for frontier vertices only
+      // Session frontier: a vertex outside the disturbed region may not
+      // move this iteration, so its join search is skipped;
       // init_stay_scores left it best_ == label_ and gain 0.
-      if (restricted_ && active_[l] == 0) continue;
+      if (frontier_ && active_[l] == 0) continue;
       const vid_t cu = label_[l];
       assert(comm_refs_[cu] > 0);
       const SigmaRep& own = sigma_cache_[cu];
@@ -688,10 +652,10 @@ class RankEngine {
   }
 
   /// Each vertex's own entry w_stay = Out[(u, cu)], read while the Σtot
-  /// requests are on the wire: summed over every vertex, active or not,
-  /// it re-derives own_weight_, and it gives the σ-independent half of the
-  /// stay score (w_stay − self loop). Also resets best_/gain_, so a vertex
-  /// the join search skips stays put.
+  /// requests are on the wire: summed over every vertex, on the frontier
+  /// or not, it re-derives own_weight_, and it gives the σ-independent
+  /// half of the stay score (w_stay − self loop). Also resets best_/gain_,
+  /// so a vertex the join search skips stays put.
   /// Kept out of line on purpose: inlined into its one caller, the
   /// exchange_streaming instantiation, the loop made a whole LFR n=20000
   /// solve about 4% slower (x86-64, GCC, Release).
@@ -774,7 +738,7 @@ class RankEngine {
     moves_.clear();
     if (cutoff >= 0.0) {
       const vid_t local_n = static_cast<vid_t>(label_.size());
-      for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- gain_ is dense; pruned vertices hold gain 0 and fall to the first branch
+      for (vid_t l = 0; l < local_n; ++l) {  // plv-lint: allow(refine-full-scan) -- gain_ is dense; vertices off a Session frontier hold gain 0 and fall to the first branch
         const vid_t from = label_[l];
         const vid_t to = best_[l];
         // left_ names the community each vertex left in *this* iteration,
@@ -886,19 +850,6 @@ class RankEngine {
 
   // -- REFINE (Algorithm 4) ---------------------------------------------------
 
-  /// Per-level convergence tolerance under threshold scaling: level L
-  /// refines against max(q_tolerance, initial_tolerance / decay^L), so the
-  /// coarse early levels converge in fewer sweeps and the cascade tightens
-  /// geometrically toward the final tolerance (Sahu's threshold scaling).
-  /// With initial_tolerance = 0 (default) this is exactly q_tolerance.
-  [[nodiscard]] double level_tolerance() const {
-    const RefinePlan& plan = opts_.refine;
-    if (!(plan.initial_tolerance > 0.0)) return plan.q_tolerance;
-    const double scaled = plan.initial_tolerance /
-                          std::pow(plan.tolerance_decay, static_cast<double>(level_index_));
-    return std::max(plan.q_tolerance, scaled);
-  }
-
   /// Runs the level's inner loop and returns the Q of the labels it ends
   /// on. Two rules keep synchronous moves from settling into period-2
   /// limit cycles (DESIGN.md decision 3): FIND never offers a vertex the
@@ -911,15 +862,6 @@ class RankEngine {
     double best_q = q_initial;
     int stagnant = 0;
     level_moves_ = 0;
-    const double level_tol = level_tolerance();
-    // The same scaled tolerance also floors the histogram cutoff: a move
-    // must clear its per-vertex share of the level tolerance, so
-    // sub-tolerance shuffling can't keep coarse levels iterating. 0 when
-    // scaling is off — the cutoff is then exactly the histogram's.
-    const double gain_floor =
-        opts_.refine.initial_tolerance > 0.0 && n_level_ > 0
-            ? level_tol / static_cast<double>(n_level_)
-            : 0.0;
     // The retraction encoding borrows PropMsg::c's top bit, so the delta
     // path needs community ids below 2^31 — always true for vid_t levels
     // in practice, but guard anyway so correctness never hinges on it.
@@ -932,10 +874,7 @@ class RankEngine {
       timers_.add(phase::kFindBestCommunity, find_s);
 
       double eps = 1.0;
-      double cutoff = gain_cutoff(iter, eps);
-      // Same allreduced inputs on every rank, so the floored cutoff is
-      // globally consistent; -1 (no mover anywhere) passes through.
-      if (cutoff >= 0.0 && gain_floor > cutoff) cutoff = gain_floor;
+      const double cutoff = gain_cutoff(iter, eps);
 
       t.reset();
       const MoveTally moved = update_communities(cutoff);
@@ -951,13 +890,13 @@ class RankEngine {
       // delta as large as a rebuild therefore rebuilds, and at most one
       // full propagation's worth of patches (with their floating-point
       // drift on fractional weights) piles up between rebuilds (DESIGN.md
-      // decision 8). A pinned (Session) frontier always ships deltas: a
-      // rebuild costs O(|In_Table|) — the cold-start term the dirty-region
+      // decision 8). A Session frontier always ships deltas: a rebuild
+      // costs O(|In_Table|) — the cold-start term the dirty-region
       // re-refine exists to avoid — and only the patches grow the
       // disturbed set. The flag is command-driven, identical on every rank.
       const bool full =
           !delta_possible ||
-          (!pinned_ && delta_since_full_ + moved.delta_records >= full_prop_records_);
+          (!frontier_ && delta_since_full_ + moved.delta_records >= full_prop_records_);
       t.reset();
       const std::uint64_t sent_before = comm_.stats().records_sent;
       if (full) {
@@ -999,9 +938,8 @@ class RankEngine {
 
       // One stagnant iteration can just mean a low-ε round; require a
       // window of them (all ranks see the same global q/moves, so the
-      // decision is uniform). Under threshold scaling the window tests the
-      // level's scaled tolerance instead of the final one.
-      stagnant = q - best_q < level_tol ? stagnant + 1 : 0;
+      // decision is uniform).
+      stagnant = q - best_q < opts_.refine.q_tolerance ? stagnant + 1 : 0;
       best_q = std::max(best_q, q);
       prev_q = q;  // report the Q of the labels we actually hold
       if (moved.moves == 0) {
@@ -1069,7 +1007,7 @@ class RankEngine {
     const std::vector<EdgeMsg> records = drain_records();
     part_ = next_part;
     n_level_ = next_n;
-    ++level_index_;  // the next refine round runs one tolerance step tighter
+    ++level_index_;
     init_level_state(records);
   }
 
@@ -1100,23 +1038,18 @@ class RankEngine {
   std::uint64_t full_prop_records_{0};
   std::uint64_t delta_since_full_{0};
 
-  // Shared frontier infrastructure. While restricted_ is on, only vertices
-  // with a set active_ bit may move, and the delta-propagation drain sets
-  // the bit of every patched vertex (the neighbor wakeup). Two producers
-  // feed it: the pinned Session frontier (pinned_; seeded from changed
-  // edges, forces the delta path, level 0 only) and active-vertex
-  // scheduling (prune_; every level, the set re-derives each delta
-  // iteration as movers ∪ patched and a full rebuild reactivates all).
-  // level_moves_ is the current level's global move count;
+  // The Session frontier (enable_frontier; level 0 only). While frontier_
+  // is on, only vertices with a set active_ bit may move, the
+  // delta-propagation drain sets the bit of every patched vertex (the
+  // neighbor wakeup), and every propagation after the level's first is a
+  // delta. level_moves_ is the current level's global move count;
   // scanned_ counts the vertices whose join search the last FIND actually
   // ran.
-  bool pinned_{false};
-  bool restricted_{false};
-  bool prune_{false};
+  bool frontier_{false};
   std::vector<std::uint8_t> active_;
   std::uint64_t level_moves_{0};
   std::uint64_t scanned_{0};
-  // Level counter for threshold scaling: 0 on every fresh ingestion,
+  // Level counter for error messages: 0 on every fresh ingestion,
   // incremented by each reconstruction.
   int level_index_{0};
 
@@ -1148,97 +1081,6 @@ class RankEngine {
 
   PhaseTimers timers_;
 };
-
-// ---------------------------------------------------------------------------
-// Vertex-following (RefinePlan::vertex_following): fold every vertex with
-// exactly one distinct neighbor onto that neighbor before the fleet runs,
-// then hand it the anchor's final community afterwards. A degree-1 vertex
-// always sits in its unique neighbor's community in an optimal partition
-// (detaching it can only lose its edge's internal weight), so the refine
-// sweeps need never consider it.
-// ---------------------------------------------------------------------------
-
-struct FoldPlan {
-  /// anchor[v] == kInvalidVid when v keeps its place; otherwise v was
-  /// folded and follows anchor[v]'s final community.
-  std::vector<vid_t> anchor;
-  graph::EdgeList edges;  // the folded list the fleet actually runs on
-  bool any{false};
-};
-
-/// Decides the fold in ONE pass over the original degrees — folding is
-/// deliberately not iterated: peeling a path end-to-end would glue whole
-/// chains into one community (a 4-chain's optimum is two pairs, not one
-/// quad). A leaf's edge turns into an anchor self-loop of the same weight,
-/// which preserves every vertex strength, Σin, and 2m, so the folded
-/// graph's modularity equals the original's under the unfolded labels; the
-/// leaf itself survives as an isolated zero-strength singleton no sweep
-/// revisits. Mutual leaf pairs fold the larger id onto the smaller, and an
-/// anchor is never itself folded (a vertex with a folded-away neighbor has
-/// either only that neighbor — the mutual case — or at least two distinct
-/// neighbors), so the unfold is single-step.
-///
-/// A leaf carrying a self-loop is NOT folded. The always-join guarantee
-/// is ΔQ = (w/m)·(1 − Σtot(u)/2m) > 0 for a leaf whose strength is its
-/// one edge; a self-loop inflates the leaf's strength (the Σtot penalty
-/// of joining) while the attachment gain stays w, so staying singleton
-/// can be optimal — e.g. a self-looped pendant on a tight cycle.
-FoldPlan plan_vertex_following(const graph::EdgeList& edges, vid_t n) {
-  FoldPlan plan;
-  plan.anchor.assign(n, kInvalidVid);
-  std::vector<vid_t> nbr(n, kInvalidVid);
-  std::vector<std::uint8_t> multi(n, 0);
-  std::vector<std::uint8_t> loop(n, 0);
-  for (const Edge& e : edges) {
-    if (e.u == e.v) {  // a self-loop is not a neighbor, but bars folding
-      loop[e.u] = 1;
-      continue;
-    }
-    const auto touch = [&](vid_t a, vid_t b) {
-      if (nbr[a] == kInvalidVid) {
-        nbr[a] = b;
-      } else if (nbr[a] != b) {
-        multi[a] = 1;
-      }
-    };
-    touch(e.u, e.v);
-    touch(e.v, e.u);
-  }
-  for (vid_t v = 0; v < n; ++v) {
-    if (nbr[v] == kInvalidVid || multi[v] != 0 || loop[v] != 0) continue;
-    const vid_t u = nbr[v];
-    const bool mutual = nbr[u] == v && multi[u] == 0 && loop[u] == 0;
-    if (mutual && v < u) continue;  // the smaller id of a leaf pair anchors
-    plan.anchor[v] = u;
-    plan.any = true;
-  }
-  if (!plan.any) return plan;
-  for (const Edge& e : edges) {
-    const vid_t u = plan.anchor[e.u] != kInvalidVid ? plan.anchor[e.u] : e.u;
-    const vid_t v = plan.anchor[e.v] != kInvalidVid ? plan.anchor[e.v] : e.v;
-    plan.edges.add(u, v, e.w);
-  }
-  return plan;
-}
-
-/// Rewrites the fleet's result for the original graph: every folded vertex
-/// takes its anchor's community in the final labels and in the level-0
-/// label vector. The folded singletons' ghost communities become empty;
-/// their dense ids stay in the id space (num_communities is the id-space
-/// size, so the labels < num_communities invariant holds) and
-/// Hierarchy::tree drops the now-empty nodes. The reported modularity
-/// needs no correction — the fold preserves it exactly (see
-/// plan_vertex_following).
-void unfold_vertex_following(const FoldPlan& plan, ParResult& result) {
-  if (!plan.any || result.levels.empty()) return;
-  auto& l0 = result.levels.front();
-  for (vid_t v = 0; v < static_cast<vid_t>(plan.anchor.size()); ++v) {
-    const vid_t a = plan.anchor[v];
-    if (a == kInvalidVid) continue;
-    result.final_labels[v] = result.final_labels[a];
-    l0.labels[v] = l0.labels[a];
-  }
-}
 
 /// Shared post-ingestion driver: runs the level loop on an initialized
 /// engine and assembles the (rank-identical) result.
@@ -1351,11 +1193,7 @@ static ParResult launch_one_shot(
 }
 
 /// A one-shot run over an in-memory edge list, cold or (with `warm`)
-/// warm-started. Vertex-following is a whole-graph preprocessing pass, so
-/// it lives on the launch side: the fleet runs the folded list (against
-/// the original vertex count — folded vertices stay as isolated
-/// singletons, keeping ids and ownership stable) and the unfold rewrites
-/// the result after the ranks have joined.
+/// warm-started.
 static ParResult edges_impl(const graph::EdgeList& edges, vid_t n_vertices,
                             const std::vector<vid_t>* warm, const ParOptions& opts) {
   const vid_t n = std::max(n_vertices, edges.vertex_count());
@@ -1364,27 +1202,10 @@ static ParResult edges_impl(const graph::EdgeList& edges, vid_t n_vertices,
   // singletons instead of rejecting the whole seed.
   std::vector<vid_t> labels;
   if (warm != nullptr) labels = normalize_warm_labels(*warm, n);
-  FoldPlan fold;
-  const graph::EdgeList* run_edges = &edges;
-  if (opts.refine.vertex_following && n > 0) {
-    fold = plan_vertex_following(edges, n);
-    if (fold.any) {
-      run_edges = &fold.edges;
-      // A folded vertex is an isolated ghost inside the fleet; seeding it
-      // into a real community would inflate that community's member count
-      // (which the singleton-swap guard consults), so its warm label
-      // resets to self. The unfold reattaches it regardless of the seed.
-      for (vid_t v = 0; v < static_cast<vid_t>(labels.size()); ++v) {
-        if (fold.anchor[v] != kInvalidVid) labels[v] = v;
-      }
-    }
-  }
-  ParResult result = launch_one_shot(n, opts, [&](pml::Comm&, RankEngine& engine) {
-    engine.init_from_edges(*run_edges, n);
+  return launch_one_shot(n, opts, [&](pml::Comm&, RankEngine& engine) {
+    engine.init_from_edges(edges, n);
     if (warm != nullptr) engine.warm_start(labels);
   });
-  unfold_vertex_following(fold, result);
-  return result;
 }
 
 // ---------------------------------------------------------------------------
@@ -1404,6 +1225,12 @@ struct WireCmd {
   vid_t n_floor{0};
   std::uint64_t seq{0};
 };
+
+/// Batches touching more than this fraction of the current edge list take
+/// the cold path whatever the cadence: a graph-wide rewrite disturbs
+/// everything, so incremental refinement would redo a cold run's work
+/// with extra bookkeeping.
+inline constexpr double kMaxIncrementalBatchFraction = 0.25;
 
 /// Rank-0-sourced broadcast built from the one collective every transport
 /// shares: peers contribute nothing, so the allgatherv concatenation *is*
@@ -1537,7 +1364,7 @@ void session_rank_body(pml::Comm& comm, SessionShared& shared) {
     const bool too_big =
         edges_before == 0 ||
         static_cast<double>(delta.size()) >
-            opts.streaming.max_delta_fraction * static_cast<double>(edges_before);
+            kMaxIncrementalBatchFraction * static_cast<double>(edges_before);
     // The incremental path needs the PropMsg retraction encoding (ids
     // below the bit). Cyclic ownership already survives vertex growth.
     const bool incremental_capable = new_n < kRetractBit;
@@ -1577,7 +1404,6 @@ Result louvain(const GraphSource& graph, const core::ParOptions& opts) {
   graph.require_live("louvain");
   opts.validate();
   if (const EdgeSliceFn* slice_of = graph.stream()) {
-    // Streamed runs never fold: no rank holds the whole graph.
     const vid_t n = graph.n_vertices();
     return core::launch_one_shot(n, opts, [&](pml::Comm& comm, core::RankEngine& engine) {
       engine.init_from_slice((*slice_of)(comm.rank(), comm.nranks()), n);

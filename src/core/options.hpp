@@ -28,9 +28,8 @@ namespace plv::core {
 inline constexpr int kColdRebuildEveryBatch = 1;
 
 /// StreamingPlan::rebuild_every_batches — never schedule a cadence cold
-/// rebuild; every batch takes the incremental path (the
-/// max_delta_fraction fallback still forces a cold rebuild for batches
-/// too large to benefit).
+/// rebuild; every batch takes the incremental path (a batch larger than a
+/// quarter of the edge list still takes the cold path).
 inline constexpr int kNeverColdRebuild = 0;
 
 /// The convergence heuristic's ε(iter) model (paper Section IV-B).
@@ -87,63 +86,15 @@ struct RefinePlan {
   // Resolution γ of generalized modularity (1 = Newman's Eq. 3). Larger
   // values favor more, smaller communities.
   double resolution{1.0};
-
-  // --- Convergence heuristics beyond Eq. 7 (DESIGN.md decision 15), all
-  // default off. Equal-gain join candidates always resolve to the smallest
-  // community id under exact comparison (Lu & Halappanavar), so no knob
-  // here can make the chosen target depend on candidate enumeration order.
-
-  // Active-vertex scheduling (Sahu's unchanged-vertex pruning): after the
-  // first delta propagation of a level, only vertices that moved last
-  // iteration or absorbed a retraction/assertion patch (i.e. a neighbor's
-  // community changed — the wakeup rides the existing PropMsg stream) are
-  // rescanned by FIND; everyone else keeps gain 0 and cannot move. A full
-  // Out_Table rebuild (DESIGN.md decision 8) reactivates the whole
-  // partition, so where the rebuilds fall moves this option's labels.
-  // Levels below 1024 vertices (kMinPrunedLevel) refine unrestricted.
-  bool active_scheduling{false};
-
-  // Vertex-following (Lu & Halappanavar): before the level-0 refine, fold
-  // each vertex with exactly one distinct neighbor onto that neighbor
-  // (its edge becomes an anchor self-loop, so modularity is unchanged),
-  // and unfold at the end by assigning it the anchor's final community.
-  // Degree-1 vertices always join their unique neighbor in an optimal
-  // partition, so this removes them from every refine sweep. Applied on
-  // the cold and warm one-shot paths; streamed ingestion and Session
-  // applies skip it (the fold is a whole-graph preprocessing pass).
-  bool vertex_following{false};
-
-  // Threshold scaling (Sahu): level L refines against tolerance
-  // max(q_tolerance, initial_tolerance / tolerance_decay^L) — coarse early
-  // levels converge in fewer sweeps, and the cascade tightens geometrically
-  // toward the final q_tolerance. The same per-level tolerance also floors
-  // the histogram gain cutoff at tolerance / n_level, so sub-tolerance
-  // shuffling doesn't keep iterations alive. 0 = off (every level uses
-  // q_tolerance directly).
-  double initial_tolerance{0.0};
-  double tolerance_decay{10.0};
-
-  /// Preset: every convergence heuristic on — the configuration the
-  /// BM_FrontierAB bench and the quality-parity suite exercise. The
-  /// 1e-3 starting tolerance is deliberate: 1e-2 converges fastest but
-  /// costs ~0.02 modularity on the LFR reference inputs, while 1e-3
-  /// combined with active scheduling matches (slightly beats) the
-  /// stock-default quality at a fraction of the scan volume.
-  [[nodiscard]] static RefinePlan heuristics() {
-    RefinePlan plan;
-    plan.active_scheduling = true;
-    plan.vertex_following = true;
-    plan.initial_tolerance = 1e-3;
-    plan.tolerance_decay = 10.0;
-    return plan;
-  }
 };
 
 /// The streaming half of the configuration — how plv::Session turns
 /// EdgeDelta batches into new label epochs. Ignored by one-shot
 /// plv::louvain runs. An incremental apply re-refines only the disturbed
 /// frontier: the endpoints of changed edges, grown by the patches their
-/// moves ship.
+/// moves ship. A batch that touches more than a quarter of the current
+/// edge list always runs cold (kMaxIncrementalBatchFraction, in
+/// louvain_par.cpp).
 struct StreamingPlan {
   // Cold-rebuild cadence, in batches: every Nth Session::apply discards
   // the warm state and re-runs from scratch on the updated edge list —
@@ -152,12 +103,6 @@ struct StreamingPlan {
   // cold run (the exact-equivalence mode); kNeverColdRebuild (0) never
   // schedules one.
   int rebuild_every_batches{16};
-
-  // Batches touching more than this fraction of the current edge list
-  // take the cold path regardless of cadence — a graph-wide rewrite
-  // disturbs everything, so incremental refinement would redo a cold
-  // run's work with extra bookkeeping.
-  double max_delta_fraction{0.25};
 
   /// Preset: every apply is a cold run on the updated graph —
   /// bit-identical to one-shot plv::louvain, at cold-start latency.
@@ -168,7 +113,7 @@ struct StreamingPlan {
   }
 
   /// Preset: minimum update latency — incremental frontier refinement on
-  /// every batch, no cadence rebuilds (the size fallback still applies).
+  /// every batch, no cadence rebuilds (the batch-size limit still applies).
   [[nodiscard]] static StreamingPlan fast() {
     StreamingPlan plan;
     plan.rebuild_every_batches = kNeverColdRebuild;
@@ -280,23 +225,9 @@ struct ParOptions {
            " (kNeverColdRebuild = 0 disables cadence cold rebuilds, "
            "kColdRebuildEveryBatch = 1 makes every apply a cold run)");
     }
-    // Negated comparisons so NaN fails instead of slipping by.
-    if (!(streaming.max_delta_fraction >= 0.0) || !(streaming.max_delta_fraction <= 1.0)) {
-      fail("streaming.max_delta_fraction must be in [0, 1], got " +
-           std::to_string(streaming.max_delta_fraction));
-    }
     if (!(refine.resolution > 0.0) || !std::isfinite(refine.resolution)) {
       fail("resolution must be a positive finite value, got " +
            std::to_string(refine.resolution));
-    }
-    if (!(refine.initial_tolerance >= 0.0) || !std::isfinite(refine.initial_tolerance)) {
-      fail("initial_tolerance must be >= 0 and finite, got " +
-           std::to_string(refine.initial_tolerance) + " (0 disables threshold scaling)");
-    }
-    if (refine.initial_tolerance > 0.0 && !(refine.tolerance_decay > 1.0)) {
-      fail("tolerance_decay must be > 1 when threshold scaling is on, got " +
-           std::to_string(refine.tolerance_decay) +
-           " (each level divides the tolerance by this factor)");
     }
     if (transport != pml::TransportKind::kThread &&
         transport != pml::TransportKind::kProc &&

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
-
 namespace plv {
 namespace {
 
@@ -115,57 +112,6 @@ TEST(Histogram, ResetRerangesAndZeroesInPlace) {
   h.reset(0.0, 0.0, 0);
   EXPECT_EQ(h.bins(), 1u);
   EXPECT_EQ(h.total(), 0u);
-}
-
-// The threshold-scaling refine loop reuses one persistent histogram: each
-// level re-ranges it to that level's gain spread and then floors the
-// selected cutoff at the level tolerance divided by the level size (the
-// geometric cascade of RefinePlan::initial_tolerance / decay^level). The
-// reset must leave no stale mass behind — a count surviving a re-range
-// would shift the top-fraction cutoff of every later level — and the
-// floored cutoff must track the tightening tolerance, not the old range.
-TEST(Histogram, ResetWithScaledThresholdTightensCutoffPerLevel) {
-  Histogram h(0.0, 1.0, 32);
-  const double initial_tolerance = 1e-2;
-  const double decay = 10.0;
-  double prev_floored = 0.0;
-  for (int level = 0; level < 3; ++level) {
-    // Level graphs shrink as the cascade coarsens; gains shrink with them.
-    const double gain_hi = 1.0 / static_cast<double>(1 << level);
-    h.reset(0.0, gain_hi, 32);
-    ASSERT_EQ(h.total(), 0u) << "stale mass survived reset at level " << level;
-    ASSERT_EQ(h.bins(), 32u);
-    for (int i = 0; i < 64; ++i) {
-      h.add(gain_hi * static_cast<double>(i) / 64.0);
-    }
-    const double level_tol =
-        initial_tolerance / std::pow(decay, static_cast<double>(level));
-    const double n_level = 100.0;
-    const double gain_floor = level_tol / n_level;
-    const double cutoff = std::max(h.top_fraction_cutoff(0.25), gain_floor);
-    // The selection itself keeps the top quartile of the re-ranged spread…
-    EXPECT_NEAR(cutoff, 0.75 * gain_hi, gain_hi / 16.0) << "level " << level;
-    // …and the floor can only bind from below: never above the range.
-    EXPECT_GE(cutoff, gain_floor);
-    EXPECT_LE(cutoff, gain_hi);
-    if (level > 0) {
-      EXPECT_LT(cutoff, prev_floored) << "level " << level;
-    }
-    prev_floored = cutoff;
-  }
-}
-
-// When a late level's gains collapse under the scaled tolerance, the
-// floor takes over the cutoff entirely: sub-tolerance shuffling must not
-// keep iterations alive just because the histogram still has mass.
-TEST(Histogram, ScaledFloorDominatesSubToleranceGains) {
-  Histogram h(0.0, 1.0, 16);
-  const double gain_floor = 1e-4;  // level_tol / n_level
-  h.reset(0.0, 5e-5, 16);          // every gain below the floor
-  for (int i = 0; i < 32; ++i) h.add(4e-5);
-  const double cutoff = std::max(h.top_fraction_cutoff(0.5), gain_floor);
-  EXPECT_DOUBLE_EQ(cutoff, gain_floor);
-  EXPECT_GT(cutoff, h.hi());  // nothing in range survives the floor
 }
 
 TEST(Summary, TracksMinMaxMean) {

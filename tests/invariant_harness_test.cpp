@@ -3,7 +3,7 @@
 // R-MAT graphs (R-MAT keeps its self-loops) reweighted three ways —
 // integer weights, tenths, and multiples of √2 — so both exact and
 // rounding arithmetic are covered. Each runs on every transport under
-// the default plan and RefinePlan::heuristics(), and must satisfy:
+// the default plan, and must satisfy:
 //
 //   * the reported modularity equals metrics::modularity recomputed from
 //     the final labels on the input graph (within 1e-9);
@@ -99,18 +99,12 @@ void expect_invariants(const Result& r, const Input& in) {
 }
 
 TEST_P(InvariantHarness, ReportedModularityAndLabelsAreConsistent) {
-  const std::pair<const char*, core::RefinePlan> plans[] = {
-      {"default", core::RefinePlan{}},
-      {"heuristics", core::RefinePlan::heuristics()}};
+  core::ParOptions opts;
+  opts.nranks = 3;
+  opts.transport = GetParam();
   for (const Input& in : inputs()) {
-    for (const auto& [plan_name, plan] : plans) {
-      SCOPED_TRACE(in.name + " " + plan_name);
-      core::ParOptions opts;
-      opts.nranks = 3;
-      opts.transport = GetParam();
-      opts.refine = plan;
-      expect_invariants(louvain(GraphSource::from_edges(in.edges, in.n), opts), in);
-    }
+    SCOPED_TRACE(in.name);
+    expect_invariants(louvain(GraphSource::from_edges(in.edges, in.n), opts), in);
   }
 }
 

@@ -234,19 +234,6 @@ TEST(ParLouvainStop, UnreachableToleranceStopsOnStagnation) {
   EXPECT_EQ(r.levels.front().trace.iterations, 2);  // the stagnation window
 }
 
-TEST(ParLouvainStop, GainFloorAboveEveryGainStopsWithNoMoves) {
-  // Threshold scaling floors the cutoff at tolerance / n_level = 1/500,
-  // far above any single vertex's gain here: gains are positive, but none
-  // clears the floor.
-  const auto graph = gen::lfr({.n = 500, .mu = 0.3, .seed = 31});
-  ParOptions opts = opts_with(2);
-  opts.refine.initial_tolerance = 1.0;
-  const ParResult r = plv::louvain(GraphSource::from_edges(graph.edges, 500), opts);
-  ASSERT_FALSE(r.levels.empty());
-  EXPECT_EQ(r.levels.front().trace.stop, LevelStop::kNoMoves);
-  EXPECT_EQ(r.levels.front().trace.iterations, 1);
-}
-
 TEST(ThresholdModelTest, EpsilonShapes) {
   // kNone is always 1.
   EXPECT_DOUBLE_EQ(epsilon_of(ThresholdModel::kNone, 0.1, 0.1, 5), 1.0);

@@ -83,44 +83,6 @@ TEST(OptionsValidate, RejectsNonFiniteResolution) {
   expect_rejected(opts, "resolution");
 }
 
-TEST(OptionsValidate, RejectsBadThresholdScaling) {
-  ParOptions opts;
-  opts.refine.initial_tolerance = -1e-3;
-  expect_rejected(opts, "initial_tolerance");
-  opts.refine.initial_tolerance = std::numeric_limits<double>::infinity();
-  expect_rejected(opts, "initial_tolerance");
-  opts.refine.initial_tolerance = std::nan("");
-  expect_rejected(opts, "initial_tolerance");
-  // Scaling on requires a genuinely tightening cascade: decay must
-  // exceed 1 or every level would see the same (or a looser) tolerance.
-  opts.refine.initial_tolerance = 1e-2;
-  opts.refine.tolerance_decay = 1.0;
-  expect_rejected(opts, "tolerance_decay");
-  opts.refine.tolerance_decay = std::nan("");
-  expect_rejected(opts, "tolerance_decay");
-  opts.refine.tolerance_decay = 10.0;
-  EXPECT_NO_THROW(opts.validate());
-  // Scaling off (0) ignores the decay entirely.
-  opts.refine.initial_tolerance = 0.0;
-  opts.refine.tolerance_decay = 0.5;
-  EXPECT_NO_THROW(opts.validate());
-}
-
-TEST(OptionsPlans, HeuristicsPresetValidatesAndPinsItsContract) {
-  ParOptions opts;
-  opts.refine = RefinePlan::heuristics();
-  EXPECT_NO_THROW(opts.validate());
-  EXPECT_TRUE(opts.refine.active_scheduling);
-  EXPECT_TRUE(opts.refine.vertex_following);
-  EXPECT_GT(opts.refine.initial_tolerance, 0.0);
-  EXPECT_GT(opts.refine.tolerance_decay, 1.0);
-  // The stock default keeps every heuristic off — the PR 8 behavior.
-  const RefinePlan stock;
-  EXPECT_FALSE(stock.active_scheduling);
-  EXPECT_FALSE(stock.vertex_following);
-  EXPECT_EQ(stock.initial_tolerance, 0.0);
-}
-
 TEST(OptionsValidate, RejectsCorruptedTransportEnum) {
   ParOptions opts;
   opts.transport = static_cast<pml::TransportKind>(42);
@@ -264,20 +226,6 @@ TEST(OptionsValidate, RejectsNegativeStreamingCadence) {
   opts.streaming.rebuild_every_batches = kNeverColdRebuild;
   EXPECT_NO_THROW(opts.validate());
   opts.streaming.rebuild_every_batches = kColdRebuildEveryBatch;
-  EXPECT_NO_THROW(opts.validate());
-}
-
-TEST(OptionsValidate, RejectsOutOfRangeMaxDeltaFraction) {
-  ParOptions opts;
-  opts.streaming.max_delta_fraction = -0.1;
-  expect_rejected(opts, "max_delta_fraction");
-  opts.streaming.max_delta_fraction = 1.5;
-  expect_rejected(opts, "max_delta_fraction");
-  opts.streaming.max_delta_fraction = std::nan("");
-  expect_rejected(opts, "max_delta_fraction");
-  opts.streaming.max_delta_fraction = 0.0;  // boundary: never incremental
-  EXPECT_NO_THROW(opts.validate());
-  opts.streaming.max_delta_fraction = 1.0;  // boundary: any batch size
   EXPECT_NO_THROW(opts.validate());
 }
 

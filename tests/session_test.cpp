@@ -5,7 +5,8 @@
 //    every transport backend, and over a seeded fuzz of batch shapes;
 //  * fast plan (pure incremental): applies are flagged incremental, stay
 //    close to the cold partition in quality, and the reported Q always
-//    matches a recomputation on the true current graph;
+//    matches a recomputation on the true current graph; the frontier
+//    refine behind them is pinned bit for bit, on every transport;
 //  * snapshots are immutable versioned values: epoch-monotone, readable
 //    concurrently with applies, and an old snapshot never changes;
 //  * a batch that removes an absent edge, or inserts a negative, NaN or
@@ -19,6 +20,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -34,6 +36,7 @@
 #include "gen/planted.hpp"
 #include "graph/csr.hpp"
 #include "metrics/modularity.hpp"
+#include "golden_hash.hpp"
 #include "metrics/similarity.hpp"
 #include "transport_param.hpp"
 
@@ -106,6 +109,87 @@ TEST_P(SessionTransports, DeterministicPlanMatchesColdRunEveryEpoch) {
     EXPECT_EQ(snap->modularity, cold.final_modularity) << "epoch " << b;
   }
   session.close();
+}
+
+/// Rewires one seeded vertex v into a community it was not planted in:
+/// the batch removes every edge at v (as `edges` holds them) and connects
+/// v to as many distinct members of another planted community.
+EdgeDelta rewire_one_vertex(Xoshiro256& rng, const graph::EdgeList& edges,
+                            const std::vector<vid_t>& planted) {
+  const auto n = static_cast<vid_t>(planted.size());
+  const auto v = static_cast<vid_t>(rng.next_below(n));
+  EdgeDelta delta;
+  for (const Edge& e : edges) {
+    if (e.u == v || e.v == v) delta.removals.add(e.u, e.v, e.w);
+  }
+  vid_t target = planted[v];
+  while (target == planted[v]) target = planted[rng.next_below(n)];
+  std::vector<vid_t> members;
+  for (vid_t u = 0; u < n; ++u) {
+    if (planted[u] == target) members.push_back(u);
+  }
+  const std::size_t k = std::min(delta.removals.size(), members.size());
+  for (std::size_t i = 0; i < k; ++i) {  // partial Fisher-Yates: k distinct members
+    std::swap(members[i], members[i + rng.next_below(members.size() - i)]);
+    delta.inserts.add(v, members[i], 1.0);
+  }
+  return delta;
+}
+
+/// One incremental epoch, pinned: its final labels' hash and its Q.
+struct EpochGolden {
+  std::uint64_t labels;
+  double modularity;
+  bool operator==(const EpochGolden&) const = default;
+};
+
+std::string to_source(const std::vector<EpochGolden>& epochs) {
+  std::string out = "{";
+  char buf[64];
+  for (const EpochGolden& e : epochs) {
+    std::snprintf(buf, sizeof(buf), "\n    {0x%016llxULL, %a},",
+                  static_cast<unsigned long long>(e.labels), e.modularity);
+    out += buf;
+  }
+  return out + "}";
+}
+
+// Each batch rewires one vertex; the fast plan takes every one
+// incrementally, so level 0 of every epoch refines only the frontier (the
+// changed edges' endpoints, grown by the vertices their moves' patches
+// wake). This pins the restricted join search and the wakeup bit for bit:
+// a build that scans every vertex, or drops the wakeup, publishes other
+// labels. Recorded on the thread transport; every backend must publish the
+// same labels and Q bits.
+const std::vector<EpochGolden> kFastPlanGolden = {
+    {0x1ade46f5713760aaULL, 0x1.112188ad001fp-1},
+    {0x952caf1c395fd94bULL, 0x1.1156ab72e3d3p-1},
+    {0x47f72461d11b69c5ULL, 0x1.1267d6b462323p-1},
+    {0x6075a03652641541ULL, 0x1.127eb5826cb77p-1},
+    {0xea9ef25a286ec1cdULL, 0x1.12a2a11b9168ep-1},
+    {0xa46341e834d19aebULL, 0x1.13d3201c55734p-1}};
+
+TEST_P(SessionTransports, FastPlanFrontierMatchesGoldenEveryEpoch) {
+  const auto g = gen::lfr({.n = 2000, .mu = 0.3, .seed = 23});
+  const vid_t n = 2000;
+  Session session(GraphSource::from_edges(g.edges, n),
+                  session_opts(4, core::StreamingPlan::fast(), GetParam()));
+  graph::EdgeList mirror = g.edges;
+  std::vector<vid_t> prev = session.snapshot()->labels;
+  Xoshiro256 rng(24);
+  std::vector<EpochGolden> observed;
+  for (std::uint64_t b = 1; b <= 6; ++b) {
+    const EdgeDelta delta = rewire_one_vertex(rng, mirror, g.ground_truth);
+    apply_edge_delta(mirror, delta);
+    const auto snap = session.apply(delta);
+    EXPECT_EQ(snap->epoch, b);
+    EXPECT_TRUE(snap->incremental) << "epoch " << b;
+    EXPECT_NE(snap->labels, prev) << "epoch " << b << " moved no label";
+    prev = snap->labels;
+    observed.push_back(EpochGolden{fnv1a(snap->labels), snap->modularity});
+  }
+  session.close();
+  EXPECT_EQ(observed, kFastPlanGolden) << "observed " << to_source(observed);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTransports, SessionTransports,
@@ -263,12 +347,15 @@ TEST(Session, WeightlessApplyHandsTheResidentTableBack) {
   triangles.add(4, 5);
   triangles.add(3, 5);
   graph::EdgeList e = triangles;
-  for (vid_t v = 0; v < 3; ++v) {  // zero-weight bridges keep the batches small
-    e.add(v, v + 3, 0.0);
-    e.add(v, (v + 1) % 3 + 3, 0.0);
+  // Zero-weight bridges, 4 copies of 6: both 6-record batches below stay
+  // within the quarter of the edge list an incremental apply may touch.
+  for (int copy = 0; copy < 4; ++copy) {
+    for (vid_t v = 0; v < 3; ++v) {
+      e.add(v, v + 3, 0.0);
+      e.add(v, (v + 1) % 3 + 3, 0.0);
+    }
   }
-  auto opts = session_opts(2, core::StreamingPlan::fast());
-  opts.streaming.max_delta_fraction = 1.0;  // both batches stay incremental
+  const auto opts = session_opts(2, core::StreamingPlan::fast());
   Session session(GraphSource::from_edges(e, 6), opts);
 
   EdgeDelta strip;

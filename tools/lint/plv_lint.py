@@ -40,11 +40,11 @@ The rules:
       called); the regex fallback keys on chunk-ish operand names.
 
   refine-full-scan
-      The refine inner loops in src/core/louvain_par.cpp are frontier-
-      driven: with active-vertex scheduling on, FIND must walk only the
-      awake vertices, so a `for (vid_t l = 0; l < local_n; ...)` sweep in
-      that translation unit is a full-partition scan in a hot path — the
-      exact pattern the frontier exists to kill. AST mode applies the
+      The refine inner loops in src/core/louvain_par.cpp serve the
+      Session frontier: under it, FIND walks only the awake vertices, so
+      a `for (vid_t l = 0; l < local_n; ...)` sweep in that translation
+      unit is a full-partition scan in a hot path — the exact pattern the
+      frontier exists to kill. AST mode applies the
       pattern to real FOR_STMT headers only. The handful of sanctioned
       sweeps carry `plv-lint: allow(refine-full-scan)` markers explaining
       why each is not a per-iteration full scan.
